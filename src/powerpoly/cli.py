@@ -17,18 +17,15 @@ from .canonical_games import canonical_games
 from .exact_math import decimal_str
 from .game_core import GameFormatError, parse_game
 from .indices import (
+    _BASE_INDICES,
     EXACT_REP_MAX_VOTERS,
     EXACT_WEIGHT_MAX_VOTERS,
-    KIND_AVG_REP,
-    KIND_AVG_WEIGHT,
-    KIND_SSI,
     ScaleExceededError,
     average_representation_index,
     average_weight_index,
     check_axioms,
     dummy_revealing,
     index_to_json,
-    shapley_shubik,
 )
 from .integer_reps import (
     convergence_experiment,
@@ -48,12 +45,6 @@ from .polytope import (
 )
 
 PRECISION_ENV = "POWERPOLY_PRECISION"
-
-_BASE_INDICES = {
-    KIND_SSI: shapley_shubik,
-    KIND_AVG_WEIGHT: average_weight_index,
-    KIND_AVG_REP: average_representation_index,
-}
 
 # guaranteed-fast exact scale; one voter more is attempted with a warning
 _GUARANTEED_WEIGHT_VOTERS = 5
@@ -328,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument(
         "--kind",
         required=True,
-        choices=[KIND_SSI, KIND_AVG_WEIGHT, KIND_AVG_REP],
+        choices=list(_BASE_INDICES),
     )
     p_index.add_argument("--dummy-revealing", action="store_true")
     p_index.add_argument("--axioms", action="store_true")

@@ -43,10 +43,11 @@ KIND_SSI = "ssi"
 KIND_AVG_WEIGHT = "avg-weight"
 KIND_AVG_REP = "avg-rep"
 
-# Vertex enumeration solves every d-subset of constraints, so cost grows
-# combinatorially with the voter count. Guaranteed-fast territory is
-# n <= 5 (weight) and n <= 4 (representation); one voter more is allowed
-# but already slow, and beyond that the exact pipeline refuses.
+# Triangulation size and Fraction integration cost grow quickly with the
+# voter count. Guaranteed-fast territory is n <= 5 (weight) and n <= 4
+# (representation); one voter more is allowed, and beyond that the exact
+# pipeline refuses. The caps are conservative since vertex enumeration
+# became double description; they are to be re-derived from the benchmark.
 EXACT_WEIGHT_MAX_VOTERS = 6
 EXACT_REP_MAX_VOTERS = 5
 

@@ -9,12 +9,11 @@ inequalities: the closure only adds boundary slices of measure zero, so
 volumes and centroids are unchanged while vertex enumeration gets a
 compact polytope to work on.
 
-Everything downstream of construction is exact: vertices are solved as
-rational intersections of constraint boundaries, the polytope is cut into
-simplices by recursive apex coning, and volumes / first moments come from
-edge-matrix determinants. The only floating point in this module sits in
-the Monte Carlo estimator and in a pre-filter that discards clearly
-infeasible intersection points before their exact feasibility check.
+Everything downstream of construction is exact: vertices are the extreme
+rays of the homogenized cone, found by integer double description, the
+polytope is cut into simplices by recursive apex coning, and volumes /
+first moments come from edge-matrix determinants. The only floating
+point in this module sits in the Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -183,8 +183,8 @@ def _integer_rows(constraints: Sequence[Constraint]) -> list[tuple[tuple[int, ..
     rows = []
     for con in constraints:
         den = lcm(con.b.denominator, *(c.denominator for c in con.a))
-        a = tuple(int(c * den) for c in con.a)
-        b = int(con.b * den)
+        a = tuple(c.numerator * (den // c.denominator) for c in con.a)
+        b = con.b.numerator * (den // con.b.denominator)
         g = 0
         for c in a:
             g = gcd(g, c)
@@ -218,137 +218,130 @@ def _preprocess(rows: Iterable[tuple[tuple[int, ...], int]]):
     return [(a, best[a]) for a in order]
 
 
-def _solve_echelon(ech: list[list[int]], pivots: list[int], d: int):
-    """Back-substitute an integer echelon system with d distinct pivots."""
-    x: list[Fraction] = [Fraction(0)] * d
-    for idx in reversed(range(d)):
-        row = ech[idx]
-        pc = pivots[idx]
-        s = Fraction(row[d])
-        for t in range(d):
-            if t != pc and row[t]:
-                s -= row[t] * x[t]
-        x[pc] = s / row[pc]
-    den = 1
-    for v in x:
-        den = lcm(den, v.denominator)
-    return tuple(int(v * den) for v in x), den
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
 
 
-def _basis_solutions(rows: list[tuple[tuple[int, ...], int]], d: int) -> set:
-    """Solutions of every independent d-subset of boundaries.
+def _dot(h: Sequence[int], r: Sequence[int]) -> int:
+    return sum(map(mul, h, r))
 
-    A prefix recursion shares elimination work between subsets and prunes
-    dependent rows early; dependent prefixes can never become a
-    nonsingular square system. Solutions come back as primitive
-    (numerators, denominator) pairs with a positive denominator.
+
+def _project(r: tuple[int, ...], hr: int, pivot: tuple[int, ...], hp: int):
+    """Move r along the pivot line onto the hyperplane h = 0.
+
+    hr = h.r and hp = h.pivot < 0; the result is a positive multiple of
+    r plus a multiple of the pivot, so it keeps r's side of every row
+    the pivot line is zero on.
+    """
+    if not hr:
+        return r
+    return _primitive([-hp * c + hr * p for c, p in zip(r, pivot)])
+
+
+def _cone_rays(rows: list[tuple[tuple[int, ...], int]], d: int):
+    """Extreme rays of the cone {(x, t) : a.x <= b t, t >= 0}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+    integers. The cone starts as all of Z^(d+1), spanned by lines, and
+    the rows arrive one at a time, t >= 0 first. A row that some line
+    crosses pivots that line out: oriented into the row's halfspace it
+    becomes a ray, and the other lines and rays are projected along it
+    onto the row's hyperplane. Otherwise the rays on the infeasible side
+    are dropped and each adjacent pair straddling the hyperplane adds
+    the ray where their edge crosses it. Two rays are adjacent when no
+    third ray's zero set contains their common one, tried only when the
+    common zero set is large enough to cut out a 2-face.
+
+    Rays come back as primitive integer vectors with their zero sets as
+    bitmasks (bit j for rows[j], bit len(rows) for t >= 0). Returns None
+    when a line survives every row: then the polytope has no vertex.
     """
     m = len(rows)
-    sols: set[tuple[tuple[int, ...], int]] = set()
-    ech: list[list[int]] = []
-    pivots: list[int] = []
-
-    def reduce_row(a: tuple[int, ...], b: int) -> list[int]:
-        r = list(a) + [b]
-        for prow, pc in zip(ech, pivots):
-            if r[pc]:
-                f, q = prow[pc], r[pc]
-                for t in range(d + 1):
-                    r[t] = r[t] * f - prow[t] * q
-        g = 0
-        for t in range(d + 1):
-            g = gcd(g, r[t])
-        if g > 1:
-            for t in range(d + 1):
-                r[t] //= g
-        return r
-
-    def recurse(start: int, depth: int) -> None:
-        if depth == d:
-            sols.add(_solve_echelon(ech, pivots, d))
-            return
-        for j in range(start, m - (d - depth) + 1):
-            r = reduce_row(*rows[j])
-            pc = -1
-            for t in range(d):
-                if r[t]:
-                    pc = t
-                    break
-            if pc < 0:
-                continue
-            ech.append(r)
-            pivots.append(pc)
-            recurse(j + 1, depth + 1)
-            ech.pop()
-            pivots.pop()
-
-    recurse(0, 0)
-    return sols
-
-
-def _filter_feasible(rows: list[tuple[tuple[int, ...], int]], candidates: set) -> list:
-    """Keep candidate points satisfying every constraint, exactly.
-
-    A vectorized float pass rejects points that violate some constraint
-    by more than 1e-9 (conversion error is orders of magnitude smaller,
-    so no feasible point is lost); survivors are confirmed with integer
-    arithmetic.
-    """
-    cand = list(candidates)
-    a_mat = np.array([list(a) for a, _ in rows], dtype=float)
-    b_vec = np.array([b for _, b in rows], dtype=float)
-    pts = np.array(
-        [[num / den for num in nums] for nums, den in cand], dtype=float
-    )
-    slack = b_vec[None, :] - pts @ a_mat.T
-    near = np.nonzero((slack >= -1e-9).all(axis=1))[0]
-    out = []
-    for idx in near:
-        nums, den = cand[idx]
-        ok = True
-        for a, b in rows:
-            acc = 0
-            for coef, num in zip(a, nums):
-                if coef:
-                    acc += coef * num
-            if acc > b * den:
-                ok = False
-                break
-        if ok:
-            out.append((nums, den))
-    return out
+    lines = [tuple(int(i == k) for i in range(d + 1)) for k in range(d + 1)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    done = 0
+    cone_rows = [((0,) * d + (-1,), 1 << m)]
+    cone_rows += [(a + (-b,), 1 << j) for j, (a, b) in enumerate(rows)]
+    for h, bit in cone_rows:
+        line_values = [_dot(h, l) for l in lines]
+        k = next((i for i, hl in enumerate(line_values) if hl), None)
+        if k is not None:
+            pivot = lines.pop(k)
+            hp = line_values.pop(k)
+            if hp > 0:
+                pivot = tuple(-c for c in pivot)
+                hp = -hp
+            lines = [_project(l, hl, pivot, hp) for l, hl in zip(lines, line_values)]
+            rays = [(_project(r, _dot(h, r), pivot, hp), z | bit) for r, z in rays]
+            rays.append((pivot, done))
+        else:
+            masks = [z for _, z in rays]
+            need = d - 1 - len(lines)
+            kept = []
+            pos = []
+            neg = []
+            for r, z in rays:
+                v = _dot(h, r)
+                if v > 0:
+                    pos.append((r, z, v))
+                elif v < 0:
+                    neg.append((r, z, v))
+                    kept.append((r, z))
+                else:
+                    kept.append((r, z | bit))
+            for rp, zp, vp in pos:
+                for rn, zn, vn in neg:
+                    common = zp & zn
+                    if common.bit_count() < need or any(
+                        z & common == common and z != zp and z != zn
+                        for z in masks
+                    ):
+                        continue
+                    ray = _primitive([vp * cn - vn * cp for cp, cn in zip(rp, rn)])
+                    kept.append((ray, common | bit))
+            rays = kept
+        done |= bit
+    return None if lines else rays
 
 
 def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     """All extreme points, sorted lexicographically by coordinates.
 
-    Every d-subset of constraint boundaries is solved as an equality
-    system; nonsingular, feasible solutions are the vertices. The active
-    set of each vertex is recomputed against the polytope's full
-    constraint list.
+    The vertices are the extreme rays (x, t) with t > 0 of the
+    homogenized cone over the preprocessed integer rows, found by exact
+    double description. A constraint is active at a vertex when its
+    integer row is a kept row in the ray's zero set, or when it reads
+    0 <= 0.
     """
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
     d = poly.dim
-    pre = _preprocess(_integer_rows(poly.constraints))
+    rows = _integer_rows(poly.constraints)
+    pre = _preprocess(rows)
+    rays = None if pre is None else _cone_rays(pre, d)
     verts: list[Vertex] = []
-    if pre is None:
-        pass
-    elif d == 0:
-        active = frozenset(
-            i for i, con in enumerate(poly.constraints) if con.b == 0
-        )
-        verts = [Vertex((), active)]
-    elif len(pre) >= d:
-        feasible = _filter_feasible(pre, _basis_solutions(pre, d))
-        for nums, den in feasible:
-            coords = tuple(Fraction(num, den) for num in nums)
-            active = frozenset(
-                i
-                for i, con in enumerate(poly.constraints)
-                if sum((ca * x for ca, x in zip(con.a, coords)), Fraction(0)) == con.b
-            )
-            verts.append(Vertex(coords, active))
+    if rays:
+        row_index = {row: j for j, row in enumerate(pre)}
+        tight_on: list[list[int]] = [[] for _ in pre]
+        always: list[int] = []
+        for i, (a, b) in enumerate(rows):
+            if not any(a):
+                if b == 0:
+                    always.append(i)
+            elif (a, b) in row_index:
+                tight_on[row_index[a, b]].append(i)
+        for ray, zero in rays:
+            t = ray[d]
+            if t > 0:
+                active = always + [
+                    i
+                    for j, ids in enumerate(tight_on)
+                    if zero >> j & 1
+                    for i in ids
+                ]
+                coords = tuple(Fraction(c, t) for c in ray[:d])
+                verts.append(Vertex(coords, frozenset(active)))
         verts.sort(key=lambda v: v.coords)
     poly._cache["vertices"] = verts
     return verts
@@ -439,42 +432,41 @@ def _simplex_volume(cell: Simplex) -> Fraction:
     return abs(determinant(RatMatrix.from_rows(rows))) / factorial(d)
 
 
-def volume(poly: HPolytope) -> Fraction:
-    """Exact volume; a single point (dim 0) has volume 1 by convention."""
-    if "volume" in poly._cache:
-        return poly._cache["volume"]
-    verts = enumerate_vertices(poly)
-    if not verts:
-        vol = Fraction(0)
-    elif poly.dim == 0:
-        vol = Fraction(1)
-    else:
-        vol = sum((_simplex_volume(c) for c in triangulate(poly)), Fraction(0))
-    poly._cache["volume"] = vol
-    return vol
-
-
-def moments(poly: HPolytope) -> tuple[Fraction, ...]:
-    """Exact coordinate integrals over the polytope.
+def _integrate(poly: HPolytope) -> None:
+    """Cache volume and moments from one pass over the triangulation.
 
     On a simplex the integral of a linear function is its volume times
-    the vertex average, so the triangulation makes this a finite sum.
+    the vertex average, so each cell's determinant serves both. A lone
+    vertex (dim 0) is one cell of volume 1.
     """
-    if "moments" in poly._cache:
-        return poly._cache["moments"]
     d = poly.dim
+    vol = Fraction(0)
     totals = [Fraction(0)] * d
     for cell in triangulate(poly):
-        vol = _simplex_volume(cell)
-        if vol == 0:
+        cell_vol = _simplex_volume(cell)
+        if cell_vol == 0:
             continue
+        vol += cell_vol
         count = len(cell.vertices)
         for i in range(d):
             avg = sum((v.coords[i] for v in cell.vertices), Fraction(0)) / count
-            totals[i] += vol * avg
-    result = tuple(totals)
-    poly._cache["moments"] = result
-    return result
+            totals[i] += cell_vol * avg
+    poly._cache["volume"] = vol
+    poly._cache["moments"] = tuple(totals)
+
+
+def volume(poly: HPolytope) -> Fraction:
+    """Exact volume; a single point (dim 0) has volume 1 by convention."""
+    if "volume" not in poly._cache:
+        _integrate(poly)
+    return poly._cache["volume"]
+
+
+def moments(poly: HPolytope) -> tuple[Fraction, ...]:
+    """Exact coordinate integrals over the polytope."""
+    if "moments" not in poly._cache:
+        _integrate(poly)
+    return poly._cache["moments"]
 
 
 def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
