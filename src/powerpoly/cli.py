@@ -9,6 +9,7 @@ the supported scale.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,8 @@ from .exact_math import decimal_str
 from .game_core import GameFormatError, parse_game
 from .indices import (
     _BASE_INDICES,
+    _GUARANTEED_REP_VOTERS,
+    _GUARANTEED_WEIGHT_VOTERS,
     EXACT_REP_MAX_VOTERS,
     EXACT_WEIGHT_MAX_VOTERS,
     ScaleExceededError,
@@ -45,10 +48,6 @@ from .polytope import (
 )
 
 PRECISION_ENV = "POWERPOLY_PRECISION"
-
-# guaranteed-fast exact scale; one voter more is attempted with a warning
-_GUARANTEED_WEIGHT_VOTERS = 5
-_GUARANTEED_REP_VOTERS = 4
 
 
 def _precision(args) -> int:
@@ -360,8 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on its first call.
+
+    Parsing leaves an argparse parser unchanged (each call fills a fresh
+    namespace), so repeated in-process calls can share one.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GameFormatError as exc:

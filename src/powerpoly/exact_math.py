@@ -1,10 +1,12 @@
 """Exact rational arithmetic and small dense linear algebra.
 
-Every number on the exact paths of this package is a `fractions.Fraction`:
-arbitrary precision, always in lowest terms, never rounded. The linear
-algebra is deliberately small and dense. Systems come from intersecting a
-handful of halfspace boundaries, so plain Gaussian elimination with exact
-zero tests beats anything fancier.
+Every number that crosses the API of this package's exact paths is a
+`fractions.Fraction`: arbitrary precision, always in lowest terms, never
+rounded. Inside, the linear algebra runs on integers. Each rational row is
+scaled to integers and one fraction-free elimination kernel (Bareiss 1968)
+gives both determinants and ranks; its divisions are exact, so no
+intermediate value needs a gcd. Matrices are small and dense, so plain
+elimination with exact zero tests beats anything fancier.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
     "RatMatrix",
     "Rational",
+    "bareiss",
     "decimal_str",
     "determinant",
     "parse_rational",
@@ -152,49 +156,62 @@ def solve_square_system(
     return tuple(x)
 
 
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination of an integer matrix, in place.
+
+    Bareiss (1968): after a pivot step every entry below the pivot row is
+    a minor of the input, so dividing by the previous pivot is exact.
+    Columns without a pivot are skipped. Returns (rank, det) where det is
+    the last pivot with the sign of the row swaps; for a square matrix of
+    full rank that is its determinant.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p = rows[r][c]
+        tail = rows[r][c + 1 :]
+        for row in rows[r + 1 :]:
+            f = row[c]
+            row[c:] = [0] + [
+                (x * p - f * y) // prev for x, y in zip(row[c + 1 :], tail)
+            ]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
+def _scaled_rows(a: RatMatrix) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators; returns the product."""
+    rows = []
+    scale = 1
+    for row in a.entries:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return rows, scale
+
+
 def determinant(a: RatMatrix) -> Fraction:
-    """Exact determinant via elimination, tracking row-swap signs."""
+    """Exact determinant of a square matrix."""
     d = a.rows
     if a.cols != d:
         raise ValueError("matrix is not square")
-    if d == 0:
-        return Fraction(1)
-    m = [list(row) for row in a.entries]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        prow = m[col]
-        det *= prow[col]
-        for r in range(col + 1, d):
-            f = m[r][col]
-            if f:
-                ratio = f / prow[col]
-                m[r] = [x - y * ratio for x, y in zip(m[r], prow)]
-    return det
+    rows, scale = _scaled_rows(a)
+    rnk, det = bareiss(rows)
+    return Fraction(det, scale) if rnk == d else Fraction(0)
 
 
 def rank(a: RatMatrix) -> int:
     """Row rank over the rationals."""
-    work = [list(row) for row in a.entries]
-    nrows, ncols = len(work), a.cols
-    rnk = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rnk, nrows) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rnk], work[piv] = work[piv], work[rnk]
-        prow = work[rnk]
-        for r in range(rnk + 1, nrows):
-            f = work[r][col]
-            if f:
-                ratio = f / prow[col]
-                work[r] = [x - y * ratio for x, y in zip(work[r], prow)]
-        rnk += 1
-        if rnk == nrows:
-            break
-    return rnk
+    return bareiss(_scaled_rows(a)[0])[0]

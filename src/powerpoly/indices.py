@@ -43,13 +43,18 @@ KIND_SSI = "ssi"
 KIND_AVG_WEIGHT = "avg-weight"
 KIND_AVG_REP = "avg-rep"
 
-# Triangulation size and Fraction integration cost grow quickly with the
-# voter count. Guaranteed-fast territory is n <= 5 (weight) and n <= 4
-# (representation); one voter more is allowed, and beyond that the exact
-# pipeline refuses. The caps are conservative since vertex enumeration
-# became double description; they are to be re-derived from the benchmark.
-EXACT_WEIGHT_MAX_VOTERS = 6
-EXACT_REP_MAX_VOTERS = 5
+# Exact scale policy, on both polytopes. Triangulation size, and with it
+# the integer integration cost, grows quickly with the voter count. The
+# worst case measured (20 random games per voter count plus the hardest
+# games found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
+# guaranteed count and within 10 s up to the cap: 0.05 s at 7 voters,
+# 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at 9
+# ([22;9,8,7,6,5,4,3,2,1]). The CLI warns between the two; beyond the
+# cap the exact pipeline refuses.
+_GUARANTEED_WEIGHT_VOTERS = 7
+_GUARANTEED_REP_VOTERS = 7
+EXACT_WEIGHT_MAX_VOTERS = 8
+EXACT_REP_MAX_VOTERS = 8
 
 
 class ScaleExceededError(RuntimeError):

@@ -10,23 +10,26 @@ volumes and centroids are unchanged while vertex enumeration gets a
 compact polytope to work on.
 
 Everything downstream of construction is exact: vertices are the extreme
-rays of the homogenized cone, found by integer double description, the
-polytope is cut into simplices by recursive apex coning, and volumes /
-first moments come from edge-matrix determinants. The only floating
-point in this module sits in the Monte Carlo estimator.
+rays of the homogenized cone, found by integer double description, and
+their zero sets say which constraints are tight where. The polytope is
+cut into simplices by recursive apex coning over facets read off that
+vertex incidence, with no rank test. Volumes and first moments add up
+integer edge-matrix determinants (Bareiss) over one common denominator,
+so the only Fractions are the final totals. The only floating point in
+this module sits in the Monte Carlo estimator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact_math import RatMatrix, determinant, rank
+from .exact_math import RatMatrix, bareiss, determinant
 from .game_core import WeightedGame, coalition_str
 
 __all__ = [
@@ -349,45 +352,69 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
 
 # -- triangulation and exact integrals ----------------------------------
 
-def _affine_dim(vertices: Sequence[Vertex]) -> int:
-    if len(vertices) <= 1:
-        return 0
-    base = vertices[0].coords
-    diffs = [
-        [c - b for c, b in zip(v.coords, base)] for v in vertices[1:]
-    ]
-    return rank(RatMatrix.from_rows(diffs))
+def _cone_cells(
+    cols: list[int], face: int, k: int, lexmin: bool, memo: dict
+) -> list[tuple[int, ...]]:
+    """Cells of a k-face given as a vertex bitmask, as vertex-index tuples.
 
-
-def _triangulate_face(face: tuple[Vertex, ...], k: int, apex_rule: str) -> list:
-    # face is a k-dimensional face given by its vertices
-    if k == 0:
-        return [(face[0],)]
+    Bit i stands for the i-th vertex in lexicographic order, so the apex
+    is the face's lowest (lexmin) or highest (lexmax) bit. The face's
+    facets are the maximal proper nonempty traces face & col: every facet
+    of a face is its intersection with some constraint's boundary, and
+    every such trace is a face. Facets come in the order of the first
+    constraint that cuts them out.
+    """
+    if face in memo:
+        return memo[face]
+    low = (face & -face).bit_length() - 1
+    high = face.bit_length() - 1
     if k == 1:
-        pts = sorted(face, key=lambda v: v.coords)
-        if len(pts) < 2:
-            return []
-        return [(pts[0], pts[-1])]
-    pick = min if apex_rule == "lexmin" else max
-    apex = pick(face, key=lambda v: v.coords)
-    constraint_ids = sorted(set().union(*(v.active for v in face)))
-    seen: set[frozenset] = set()
-    cells = []
-    for ci in constraint_ids:
-        if ci in apex.active:
-            continue
-        sub = tuple(v for v in face if ci in v.active)
-        if len(sub) < k:
-            continue
-        ident = frozenset(v.coords for v in sub)
-        if ident in seen:
-            continue
-        if _affine_dim(sub) != k - 1:
-            continue
-        seen.add(ident)
-        for cell in _triangulate_face(sub, k - 1, apex_rule):
-            cells.append(cell + (apex,))
+        cells = [(low, high)] if low != high else []
+    else:
+        apex = low if lexmin else high
+        traces: dict[int, None] = {}
+        for col in cols:
+            sub = face & col
+            if sub and sub != face:
+                traces[sub] = None
+        facets: list[int] = []
+        for sub in sorted(traces, key=int.bit_count, reverse=True):
+            if not any(sub & f == sub for f in facets):
+                facets.append(sub)
+        facets_set = set(facets)
+        cells = [
+            cell + (apex,)
+            for sub in traces
+            if sub in facets_set and not sub >> apex & 1
+            for cell in _cone_cells(cols, sub, k - 1, lexmin, memo)
+        ]
+    memo[face] = cells
     return cells
+
+
+def _triangulation(
+    poly: HPolytope, verts: list[Vertex], apex_rule: str
+) -> list[tuple[int, ...]]:
+    """Cells as index tuples into verts, which is sorted by coordinates."""
+    if not verts:
+        return []
+    if poly.dim == 0:
+        return [(0,)]
+    incidence: dict[int, int] = {}
+    for i, v in enumerate(verts):
+        for j in v.active:
+            incidence[j] = incidence.get(j, 0) | 1 << i
+    cols = list(dict.fromkeys(incidence[j] for j in sorted(incidence)))
+    full = (1 << len(verts)) - 1
+    return _cone_cells(cols, full, poly.dim, apex_rule == "lexmin", {})
+
+
+def _cells(poly: HPolytope, apex_rule: str) -> list[tuple[int, ...]]:
+    """Memoized index cells over enumerate_vertices(poly)."""
+    key = ("cells", apex_rule)
+    if key not in poly._cache:
+        poly._cache[key] = _triangulation(poly, enumerate_vertices(poly), apex_rule)
+    return poly._cache[key]
 
 
 def triangulate(
@@ -399,28 +426,28 @@ def triangulate(
 
     Recursive facet coning: the apex (lexicographically smallest vertex,
     or largest under apex_rule="lexmax") is coned over a triangulation of
-    every facet not containing it. Facets are vertex sets tight on a
-    common constraint whose affine dimension is one less than the face's;
-    lower-dimensional tight sets are ignored.
+    every facet not containing it. Facets are found by vertex incidence
+    alone: within a face, the vertex sets tight on one constraint that
+    are maximal by inclusion. A polytope that is not full-dimensional
+    has no cells, since its recursion runs out of vertices before it
+    reaches the edges.
     """
     if apex_rule not in ("lexmin", "lexmax"):
         raise ValueError("apex_rule must be 'lexmin' or 'lexmax'")
     key = ("simplices", apex_rule)
-    cache_ok = vertices is None
-    if cache_ok and key in poly._cache:
+    if vertices is None:
+        if key not in poly._cache:
+            verts = enumerate_vertices(poly)
+            poly._cache[key] = [
+                Simplex(tuple(verts[i] for i in cell))
+                for cell in _cells(poly, apex_rule)
+            ]
         return poly._cache[key]
-    verts = list(enumerate_vertices(poly) if vertices is None else vertices)
-    if not verts:
-        cells: list[Simplex] = []
-    elif poly.dim == 0:
-        cells = [Simplex((verts[0],))]
-    else:
-        cells = [
-            Simplex(c) for c in _triangulate_face(tuple(verts), poly.dim, apex_rule)
-        ]
-    if cache_ok:
-        poly._cache[key] = cells
-    return cells
+    verts = sorted(vertices, key=lambda v: v.coords)
+    return [
+        Simplex(tuple(verts[i] for i in cell))
+        for cell in _triangulation(poly, verts, apex_rule)
+    ]
 
 
 def _simplex_volume(cell: Simplex) -> Fraction:
@@ -435,24 +462,47 @@ def _simplex_volume(cell: Simplex) -> Fraction:
 def _integrate(poly: HPolytope) -> None:
     """Cache volume and moments from one pass over the triangulation.
 
-    On a simplex the integral of a linear function is its volume times
-    the vertex average, so each cell's determinant serves both. A lone
+    All vertices are scaled to integer numerators R_v over one common
+    denominator T. A cell's volume is |D| / (d! T^d), where D is the
+    determinant of its integer edge matrix, and the integral of x_i over
+    it is that volume times the vertex average of R_v,i / T. So the pass
+    adds up integers only: |D| into the volume sum and onto a weight per
+    vertex of the cell, the moments being sum_v weight_v R_v,i. A lone
     vertex (dim 0) is one cell of volume 1.
+
+    D itself comes from the homogeneous rows (x_v, t_v), x_v / t_v being
+    the vertex over its own denominator: with R_v = x_v T / t_v,
+    D = det(x_v, t_v) * prod(T / t_v) / T. Those rows keep the small
+    entries of the cone's rays, where T grows with every new denominator.
     """
     d = poly.dim
-    vol = Fraction(0)
-    totals = [Fraction(0)] * d
-    for cell in triangulate(poly):
-        cell_vol = _simplex_volume(cell)
-        if cell_vol == 0:
+    verts = enumerate_vertices(poly)
+    dens = [lcm(*(c.denominator for c in v.coords)) for v in verts]
+    den = lcm(*dens)
+    rays = [
+        [c.numerator * (t // c.denominator) for c in v.coords] + [t]
+        for v, t in zip(verts, dens)
+    ]
+    lift = [den // t for t in dens]
+    weight = [0] * len(verts)
+    total = 0
+    for cell in _cells(poly, "lexmin"):
+        rnk, det = bareiss([rays[i][:] for i in cell])
+        if rnk <= d:
             continue
-        vol += cell_vol
-        count = len(cell.vertices)
-        for i in range(d):
-            avg = sum((v.coords[i] for v in cell.vertices), Fraction(0)) / count
-            totals[i] += cell_vol * avg
-    poly._cache["volume"] = vol
-    poly._cache["moments"] = tuple(totals)
+        det = abs(det) * prod(lift[i] for i in cell) // den
+        total += det
+        for i in cell:
+            weight[i] += det
+    scale = factorial(d) * den**d
+    poly._cache["volume"] = Fraction(total, scale)
+    poly._cache["moments"] = tuple(
+        Fraction(
+            sum(w * r[i] * s for w, r, s in zip(weight, rays, lift)),
+            scale * den * (d + 1),
+        )
+        for i in range(d)
+    )
 
 
 def volume(poly: HPolytope) -> Fraction:

@@ -13,7 +13,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
-from powerpoly.cli import PRECISION_ENV, main
+from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -86,6 +86,39 @@ class TestIndexCommand:
         second = run(capsys, *argv)
         assert first == second
 
+    def test_back_to_back_calls_share_no_options(self, capsys, monkeypatch):
+        # main() reuses one parser; no flag of a call may reach the next
+        monkeypatch.delenv(PRECISION_ENV, raising=False)
+        game = ("--game", "[3;2,1,1]")
+        calls = [
+            ("index", "--kind", "avg-weight", "--json", "--precision", "2", *game),
+            ("index", "--kind", "avg-weight", *game),
+            ("index", "--kind", "avg-rep", "--json", *game),
+            ("index", "--kind", "ssi", "--game", "[3;2,1"),
+            ("polytope", "--kind", "weight", "--volume", *game),
+            ("polytope", "--kind", "rep", *game),
+            ("intreps", "--total", "12", "--precision", "3", *game),
+            ("intreps", "--total", "12", *game),
+            ("table", "--max-voters", "2", "--json"),
+            ("table", "--max-voters", "2"),
+        ]
+        forward = [run(capsys, *argv) for argv in calls]
+        backward = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+        assert forward == backward
+        assert [code for code, _, _ in forward] == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+        assert json.loads(forward[0][1])["decimals"] == ["0.61", "0.19", "0.19"]
+        assert forward[1][1] == "11/18 7/36 7/36\n"
+        assert json.loads(forward[2][1])["decimals"][0] == "0.583333"
+        assert forward[3][2].startswith("error:")
+        assert forward[5][1].startswith("dim: 3\n")
+        assert forward[6][1].splitlines()[2] == "decimals: 0.588 0.206 0.206"
+        assert forward[7][1].splitlines()[2] == "decimals: 0.588235 0.205882 0.205882"
+        assert not forward[9][1].startswith("{")
+        for argv in calls:
+            assert vars(_parser().parse_args(argv)) == vars(
+                build_parser().parse_args(argv)
+            )
+
     def test_parse_failure_exits_2(self, capsys):
         code, out, err = run(
             capsys, "index", "--kind", "ssi", "--game", "[3;2,1"
@@ -97,7 +130,7 @@ class TestIndexCommand:
     def test_scale_failure_exits_3_naming_fallback(self, capsys):
         code, _, err = run(
             capsys,
-            "index", "--kind", "avg-rep", "--game", "[4;1,1,1,1,1,1]",
+            "index", "--kind", "avg-rep", "--game", "[4;1,1,1,1,1,1,1,1,1]",
         )
         assert code == 3
         assert "estimate_centroid_mc" in err
@@ -148,9 +181,9 @@ class TestPolytopeCommand:
         code, out, err = run(
             capsys,
             "polytope", "--kind", "weight", "--volume",
-            "--game", "[6;1,1,1,1,1,1]",
+            "--game", "[8;1,1,1,1,1,1,1,1]",
         )
-        assert (code, out) == (0, "1/120\n")
+        assert (code, out) == (0, "1/5040\n")
         assert "beyond the guaranteed exact scale" in err
 
     def test_mc_requires_seed(self, capsys):
@@ -179,7 +212,7 @@ class TestPolytopeCommand:
             capsys,
             "polytope", "--kind", "rep", "--estimate-centroid-mc",
             "--samples", "300000", "--seed", "2",
-            "--game", "[4;1,1,1,1,1,1]",
+            "--game", "[9;1,1,1,1,1,1,1,1,1]",
         )
         assert code == 0
         assert out.startswith("mc centroid: ")
@@ -198,7 +231,7 @@ class TestPolytopeCommand:
         code, _, err = run(
             capsys,
             "polytope", "--kind", "rep", "--volume",
-            "--game", "[4;1,1,1,1,1,1]",
+            "--game", "[4;1,1,1,1,1,1,1,1,1]",
         )
         assert code == 3
         assert err.startswith("error:")

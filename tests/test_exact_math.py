@@ -17,6 +17,7 @@ from powerpoly.exact_math import (
     rational_to_json,
     solve_square_system,
 )
+from integration_oracle import _eliminate
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -175,6 +176,35 @@ class TestDeterminant:
             [[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]]
         )
         assert determinant(a) == determinant(t)
+
+
+# few distinct entries, many zeros: rank deficiency and pivot-free columns
+sparse_entries = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 3)]
+)
+
+
+def matrices(rows, cols):
+    return st.lists(
+        st.lists(sparse_entries, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+@given(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda shape: matrices(*shape)
+    )
+)
+def test_rank_matches_fraction_elimination(rows):
+    assert rank(RatMatrix.from_rows(rows)) == _eliminate(rows)[0]
+
+
+@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
+def test_determinant_matches_fraction_elimination(rows):
+    rnk, det = _eliminate(rows)
+    assert determinant(RatMatrix.from_rows(rows)) == (det if rnk == len(rows) else 0)
 
 
 class TestRatMatrix:

@@ -87,7 +87,7 @@ class TestAverageWeightIndex:
 
     def test_scale_cap(self):
         with pytest.raises(ScaleExceededError):
-            average_weight_index(parse_game("[4;1,1,1,1,1,1,1]"))
+            average_weight_index(parse_game("[4;1,1,1,1,1,1,1,1,1]"))
 
 
 class TestAverageRepresentationIndex:
@@ -116,7 +116,7 @@ class TestAverageRepresentationIndex:
 
     def test_scale_cap(self):
         with pytest.raises(ScaleExceededError):
-            average_representation_index(parse_game("[4;1,1,1,1,1,1]"))
+            average_representation_index(parse_game("[4;1,1,1,1,1,1,1,1,1]"))
 
 
 class TestDummyRevealing:
