@@ -23,6 +23,7 @@ from .indices import (
     _GUARANTEED_WEIGHT_VOTERS,
     EXACT_REP_MAX_VOTERS,
     EXACT_WEIGHT_MAX_VOTERS,
+    MAX_POLYTOPE_ROWS,
     ScaleExceededError,
     average_representation_index,
     average_weight_index,
@@ -40,6 +41,7 @@ from .polytope import (
     build_representation_polytope,
     build_weight_polytope,
     centroid,
+    constraint_count,
     enumerate_vertices,
     estimate_centroid_mc,
     moments,
@@ -100,7 +102,14 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _check_polytope_scale(kind: str, n: int, exact_needed: bool) -> None:
+def _check_polytope_scale(kind: str, game, exact_needed: bool) -> None:
+    rows = constraint_count(game, representation=kind == "rep")
+    if rows > MAX_POLYTOPE_ROWS:
+        raise ScaleExceededError(
+            f"the {kind} polytope of this game has {rows} constraint rows, "
+            f"more than the supported {MAX_POLYTOPE_ROWS}"
+        )
+    n = game.n
     cap = EXACT_WEIGHT_MAX_VOTERS if kind == "weight" else EXACT_REP_MAX_VOTERS
     soft = (
         _GUARANTEED_WEIGHT_VOTERS
@@ -132,11 +141,11 @@ def _cmd_polytope(args) -> int:
         args.vertices or args.volume or args.moments or args.json
         or not args.estimate_centroid_mc
     )
-    _check_polytope_scale(args.kind, game.n, wants_exact)
-    poly = build(game)
     if args.estimate_centroid_mc and args.seed is None:
         print("error: --estimate-centroid-mc requires --seed", file=sys.stderr)
         return 2
+    _check_polytope_scale(args.kind, game, wants_exact)
+    poly = build(game)
     if args.json:
         doc = polytope_to_json(poly)
         if args.estimate_centroid_mc:

@@ -5,7 +5,13 @@ parts is tested against the game's coalition structure. Averaging the
 feasible vectors (relative to T) approximates the average weight index;
 additionally counting the admissible integer quotas per vector
 approximates the average representation index. Counts and sums are exact
-integers throughout; numpy only vectorizes the innermost loop.
+integers throughout.
+
+The scan runs on blocks of at most CHUNK compositions, one per column,
+so its memory does not grow with the grid. Each block tests all its
+compositions with one pair of matrix products against the minimal
+winning and maximal losing coalitions, and adds its weighted column sums
+with one more.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
 
 MAX_GRID_VOTERS = 5
 MAX_GRID_POINTS = 20_000_000  # compositions scanned per call
+CHUNK = 1 << 13  # compositions per block
 
 
 @dataclass(frozen=True)
@@ -92,51 +99,75 @@ def _check_scale(game: WeightedGame, total: int) -> None:
         )
 
 
+def _prefixes(width: int, total: int) -> np.ndarray:
+    """All width-tuples of nonnegative integers with sum <= total, in lex order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(width):
+        lengths = total - sums + 1
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        last = np.arange(len(starts), dtype=np.int64) - starts
+        rows = np.column_stack([np.repeat(rows, lengths, axis=0), last])
+        sums = np.repeat(sums, lengths) + last
+    return rows
+
+
+def _blocks(n: int, total: int, dtype):
+    """Compositions of total into n parts in lex order, as n x CHUNK blocks.
+
+    Each block holds one composition per column. Scan row g is
+    (head, t, r - t): head is the length n-2 prefix that owns g,
+    r = total - sum(head) and t runs from 0 to r. One block can take
+    many short tails or cut a long one into ranges.
+    """
+    if n == 1:
+        yield np.full((1, 1), total, dtype=dtype)
+        return
+    heads = _prefixes(n - 2, total)
+    rest = total - heads.sum(axis=1)
+    ends = np.cumsum(rest + 1)
+    starts = ends - rest - 1
+    heads = heads.T.copy()
+    size = int(ends[-1])
+    for g0 in range(0, size, CHUNK):
+        g1 = min(g0 + CHUNK, size)
+        p0 = int(np.searchsorted(ends, g0, side="right"))
+        p1 = int(np.searchsorted(ends, g1 - 1, side="right")) + 1
+        counts = np.minimum(ends[p0:p1], g1) - np.maximum(starts[p0:p1], g0)
+        t = np.arange(g0, g1, dtype=np.int64) - np.repeat(starts[p0:p1], counts)
+        block = np.empty((n, g1 - g0), dtype=dtype)
+        block[: n - 2] = np.repeat(heads[:, p0:p1], counts, axis=1)
+        block[n - 2] = t
+        block[n - 1] = np.repeat(rest[p0:p1], counts) - t
+        yield block
+
+
 def _grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:
     n = game.n
     win_mat, lose_mat = _structure_matrices(game)
+    # A column adds at most total * total to a sum (a weight times its
+    # quota count), so CHUNK columns stay inside int64 up to a total of
+    # about 3.3e7, which covers every n >= 2 grid MAX_GRID_POINTS admits.
+    # Coalition weights are at most the total, so below that they are
+    # exact in float64 too, where BLAS computes them. Larger totals run
+    # on Python ints throughout.
+    if CHUNK * total * total < 1 << 63:
+        dtype, weigh = np.int64, np.float64
+    else:
+        dtype, weigh = object, object
+    win_mat = win_mat.astype(weigh)
+    lose_mat = lose_mat.astype(weigh)
     count = 0
     sums = [0] * n
-
-    def accumulate(block: np.ndarray) -> None:
-        nonlocal count
+    for block in _blocks(n, total, dtype):
         # a vector is feasible iff its lightest minimal winning coalition
-        # strictly outweighs its heaviest maximal losing one
-        lightest = (block @ win_mat.T).min(axis=1)
-        heaviest = (block @ lose_mat.T).max(axis=1)
-        mask = lightest > heaviest
-        if not mask.any():
-            return
-        rows = block[mask]
-        if with_quota:
-            # admissible integer quotas per vector: heaviest+1 .. lightest
-            mult = (lightest - heaviest)[mask]
-            count += int(mult.sum())
-            weighted = rows * mult[:, None]
-            for i in range(n):
-                sums[i] += int(weighted[:, i].sum())
-        else:
-            count += int(mask.sum())
-            for i in range(n):
-                sums[i] += int(rows[:, i].sum())
-
-    if n == 1:
-        accumulate(np.array([[total]], dtype=np.int64))
-    else:
-
-        def scan(prefix: tuple[int, ...], remaining: int) -> None:
-            if len(prefix) == n - 2:
-                tail = np.arange(remaining + 1, dtype=np.int64)
-                block = np.empty((remaining + 1, n), dtype=np.int64)
-                block[:, : n - 2] = prefix
-                block[:, n - 2] = tail
-                block[:, n - 1] = remaining - tail
-                accumulate(block)
-                return
-            for w in range(remaining + 1):
-                scan(prefix + (w,), remaining - w)
-
-        scan((), total)
+        # strictly outweighs its heaviest maximal losing one; with quota
+        # it has one admissible integer quota per unit of the gap
+        x = block.astype(weigh)
+        gap = (win_mat @ x).min(axis=0) - (lose_mat @ x).max(axis=0)
+        mult = (np.maximum(gap, 0) if with_quota else gap > 0).astype(dtype)
+        count += int(mult.sum())
+        sums = [s + int(v) for s, v in zip(sums, block @ mult)]
 
     if count == 0:
         return GridSummary(total, 0, (), with_quota)

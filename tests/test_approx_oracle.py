@@ -1,0 +1,242 @@
+"""Blocked grid scans, integer bounding boxes and row-block rejection.
+
+Each must return exactly what the reference in approx_oracle.py returns:
+equal grid summaries, equal boxes, and equal Monte Carlo estimate tuples
+or the same refusal. Block sizes are patched down in places so that small
+inputs cross many block boundaries.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powerpoly import integer_reps, polytope
+from powerpoly.game_core import parse_game
+from powerpoly.integer_reps import _grid_scan
+from powerpoly.polytope import (
+    Constraint,
+    EstimateInconclusiveError,
+    HPolytope,
+    _bounding_box,
+    _integer_rows,
+    build_representation_polytope,
+    build_weight_polytope,
+    estimate_centroid_mc,
+)
+from approx_oracle import (
+    oracle_bounding_box,
+    oracle_estimate_centroid_mc,
+    oracle_grid_scan,
+)
+from expected_values import TABLE
+from test_game_core import small_games
+
+BUILDERS = (build_weight_polytope, build_representation_polytope)
+
+# The Monte Carlo games of the benchmark's approx workload (n = 5..9).
+MC_GAMES = (
+    "[1;1,4,2,2,0]",
+    "[2;1,3,4,3,2]",
+    "[9;2,3,2,2,0]",
+    "[2;1,1,1,0,0,0]",
+    "[9;5,4,3,2,1,1]",
+    "[10;6,5,4,3,2,1,1]",
+    "[13;8,6,5,4,3,2,1,1]",
+    "[20;9,8,7,6,5,4,3,2,1]",
+)
+
+# One game per voter count for the exhaustive grid comparisons.
+GRID_GAMES = ("[1;1]", "[2;1,1]", "[3;2,1,1]", "[3;2,1,1,1]", "[8;5,3,2,2,1]")
+
+
+def poly_from(dim, rows):
+    """HPolytope from (coefficients, bound) pairs."""
+    return HPolytope(
+        dim,
+        [Constraint(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in rows],
+    )
+
+
+UNIT_TRIANGLE = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
+HAND_BUILT = {
+    "unit-triangle": poly_from(2, UNIT_TRIANGLE),
+    "fractional": poly_from(
+        3,
+        [
+            ((Fraction(-1, 2), 0, 0), 0),
+            ((0, -3, 0), Fraction(1, 7)),
+            ((0, 0, -1), 0),
+            ((Fraction(2, 3), Fraction(1, 5), 1), Fraction(5, 4)),
+            ((1, -Fraction(1, 3), 0), Fraction(1, 2)),
+        ],
+    ),
+    "band": poly_from(
+        2,
+        [
+            ((-1, 0), 0),
+            ((0, -1), 0),
+            ((1, 0), 1),
+            ((0, 1), 1),
+            ((1, -1), Fraction(1, 1000)),
+            ((-1, 1), Fraction(1, 1000)),
+        ],
+    ),
+    "chained": poly_from(
+        3,
+        [
+            ((-1, 0, 0), 0),
+            ((1, 0, 0), Fraction(2, 3)),
+            ((-1, -1, 0), 0),
+            ((1, 1, 0), 1),
+            ((0, 1, -1), Fraction(1, 4)),
+            ((0, -1, 1), Fraction(1, 5)),
+        ],
+    ),
+    "empty-box": poly_from(1, [((1,), 0), ((-1,), -1)]),
+    "zero-dimensional": HPolytope(0, []),
+}
+
+
+def box(poly):
+    return _bounding_box(poly.dim, _integer_rows(poly.constraints))
+
+
+def outcome(estimator, poly, samples, seed):
+    """Estimate tuple, or the refusal's message."""
+    try:
+        return estimator(poly, samples, seed)
+    except EstimateInconclusiveError as exc:
+        return str(exc)
+
+
+def assert_same_estimate(poly, samples, seed):
+    got = outcome(estimate_centroid_mc, poly, samples, seed)
+    want = outcome(oracle_estimate_centroid_mc, poly, samples, seed)
+    if isinstance(want, str):
+        # the library adds a hint about where rejection stops working
+        assert isinstance(got, str) and got.startswith(want), got
+    else:
+        assert got == want
+
+
+# -- bounding boxes -----------------------------------------------------
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_boxes_on_catalogue_and_mc_games(builder):
+    for spec in (*TABLE, *MC_GAMES):
+        poly = builder(parse_game(spec))
+        assert box(poly) == oracle_bounding_box(poly), spec
+
+
+@pytest.mark.parametrize(
+    "name", ["unit-triangle", "fractional", "band", "chained", "empty-box"]
+)
+def test_boxes_on_hand_built_polytopes(name):
+    poly = HAND_BUILT[name]
+    assert box(poly) == oracle_bounding_box(poly)
+
+
+def test_empty_box_is_reported_as_such():
+    (lo, hi), = box(HAND_BUILT["empty-box"])
+    assert lo > hi
+
+
+def test_unbounded_input_raises_in_both():
+    quadrant = poly_from(2, [((-1, 0), 0), ((0, -1), 0), ((1, -1), 3)])
+    with pytest.raises(ValueError):
+        oracle_bounding_box(quadrant)
+    with pytest.raises(ValueError):
+        box(quadrant)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_games(), st.booleans())
+def test_boxes_on_drawn_games(game, rep):
+    poly = BUILDERS[rep](game)
+    assert box(poly) == oracle_bounding_box(poly)
+
+
+# -- grid scans -----------------------------------------------------------
+
+@pytest.mark.parametrize("with_quota", [False, True])
+@pytest.mark.parametrize("spec", GRID_GAMES)
+def test_grid_scans_up_to_total_sixty(spec, with_quota):
+    game = parse_game(spec)
+    totals = range(1, 61) if game.n <= 4 else (1, 2, 3, 5, 8, 13, 21, 34, 60)
+    for total in totals:
+        assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+            game, total, with_quota
+        ), total
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("spec", GRID_GAMES)
+def test_grid_scans_across_small_blocks(monkeypatch, spec, chunk):
+    # blocks that cut through tails and span several prefixes
+    monkeypatch.setattr(integer_reps, "CHUNK", chunk)
+    game = parse_game(spec)
+    for total in (1, 5, 17):
+        for with_quota in (False, True):
+            assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+                game, total, with_quota
+            ), total
+
+
+@pytest.mark.parametrize("spec", GRID_GAMES)
+def test_grid_scans_on_python_ints(monkeypatch, spec):
+    # CHUNK * total**2 past 2**63 switches the scan from int64 to Python ints
+    monkeypatch.setattr(integer_reps, "CHUNK", 1 << 62)
+    game = parse_game(spec)
+    for total in (1, 5, 17):
+        for with_quota in (False, True):
+            assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+                game, total, with_quota
+            ), total
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, integer_reps.CHUNK + 1])
+def test_two_voter_tails_around_the_block_size(offset):
+    # at n = 2 the only tail is split into CHUNK-sized ranges
+    game = parse_game("[2;2,1]")
+    total = integer_reps.CHUNK + offset
+    for with_quota in (False, True):
+        assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+            game, total, with_quota
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_games(), st.integers(1, 30), st.booleans())
+def test_grid_scans_on_drawn_games(game, total, with_quota):
+    assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+        game, total, with_quota
+    )
+
+
+# -- Monte Carlo ----------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("spec", MC_GAMES)
+def test_estimates_on_mc_games(spec, builder, seed):
+    poly = builder(parse_game(spec))
+    # the reference holds samples x rows floats at once
+    samples = min(40_000, 2_000_000 // len(poly.constraints))
+    assert_same_estimate(poly, samples, seed)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
+    monkeypatch.setattr(polytope, "ROW_BLOCK", 2)
+    poly = builder(parse_game("[2;1,3,4,3,2]"))
+    assert_same_estimate(poly, (1 << 17) + 999, 11)
+
+
+@pytest.mark.parametrize("row_block", [1, 3, 32])
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
+    monkeypatch.setattr(polytope, "ROW_BLOCK", row_block)
+    for samples, seed in ((40, 7), (5_000, 3), (60_000, 42)):
+        assert_same_estimate(HAND_BUILT[name], samples, seed)

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
+from powerpoly import cli
 from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
+from powerpoly.indices import MAX_POLYTOPE_ROWS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -217,6 +220,26 @@ class TestPolytopeCommand:
         assert code == 0
         assert out.startswith("mc centroid: ")
 
+    def test_oversized_mc_request_exits_3_before_building(
+        self, capsys, monkeypatch
+    ):
+        # 16 voters: 2552 x 2597 (minimal winning, maximal losing) pairs
+        def build(game):
+            raise AssertionError("the polytope was built")
+
+        monkeypatch.setattr(cli, "build_weight_polytope", build)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "polytope", "--kind", "weight", "--estimate-centroid-mc",
+            "--samples", "1000", "--seed", "1",
+            "--game", "[70;1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert "6627560 constraint rows" in err
+        assert f"supported {MAX_POLYTOPE_ROWS}" in err
+
     def test_single_sample_is_inconclusive(self, capsys):
         # one accepted point admits no error bar, whatever the seed
         code, _, err = run(
@@ -226,6 +249,7 @@ class TestPolytopeCommand:
         )
         assert code == 1
         assert "samples landed inside" in err
+        assert 'see README "Scale"' in err
 
     def test_exact_request_beyond_cap_exits_3(self, capsys):
         code, _, err = run(

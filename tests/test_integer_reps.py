@@ -1,5 +1,6 @@
 """Integer grid scans: feasibility counts, averages, convergence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,19 @@ class TestRepresentationCounts:
         s = enumerate_integer_representations(parse_game("[2;1,1,1]"), 3)
         assert s.count == 1
 
+    @pytest.mark.parametrize("total", [5_000_001, 19_999_999])
+    def test_large_two_voter_sums_do_not_overflow(self, total):
+        # sum of w_1 * quotas over the grid passes 2**63 at these totals
+        s = enumerate_integer_representations(parse_game("[2;1,1]"), total)
+        assert s.count == (total * total - 1) // 4
+        assert s.average == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_single_voter_beyond_int64(self):
+        total = 10**30
+        s = enumerate_integer_representations(parse_game("[3;5]"), total)
+        assert s.count == total
+        assert s.average == (Fraction(1),)
+
 
 class TestGridOracle:
     @pytest.mark.parametrize(
@@ -182,6 +196,17 @@ class TestConvergence:
 
 
 class TestScaleLimits:
+    def test_grid_memory_does_not_grow_with_the_grid(self):
+        game = parse_game("[2;1,1]")
+        tracemalloc.start()
+        try:
+            s = enumerate_integer_feasible_weights(game, 4_999_999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.count == 4_999_998
+        assert peak < 64 * 2**20
+
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ValueError):
             enumerate_integer_feasible_weights(parse_game("[2;1,1,1]"), 0)

@@ -17,6 +17,7 @@ from powerpoly.polytope import (
     build_representation_polytope,
     build_weight_polytope,
     centroid,
+    constraint_count,
     enumerate_vertices,
     estimate_centroid_mc,
     moments,
@@ -24,7 +25,7 @@ from powerpoly.polytope import (
     triangulate,
     volume,
 )
-from expected_values import WORKED
+from expected_values import TABLE, WORKED
 
 
 def poly_from(dim, rows):
@@ -135,6 +136,17 @@ class TestRepresentationPolytope:
         }
         assert volume(poly) == Fraction(1, 4)
         assert centroid(poly) == (Fraction(5, 6), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "spec", [*TABLE, "[9;5,4,3,2,1,1]", "[20;9,8,7,6,5,4,3,2,1]"]
+)
+def test_constraint_count_matches_the_builders(spec):
+    game = parse_game(spec)
+    weight = build_weight_polytope(game)
+    rep = build_representation_polytope(game)
+    assert constraint_count(game) == len(weight.constraints)
+    assert constraint_count(game, representation=True) == len(rep.constraints)
 
 
 class TestVertexEnumeration:
