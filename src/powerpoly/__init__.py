@@ -9,15 +9,10 @@ paths run on arbitrary-precision rationals.
 from .canonical_games import CANONICAL_GAMES, canonical_games
 from .exact_math import (
     RatMatrix,
-    Rational,
     decimal_str,
     determinant,
     parse_rational,
     rank,
-    rat,
-    rational_from_json,
-    rational_to_json,
-    solve_square_system,
 )
 from .game_core import (
     Coalition,
@@ -27,7 +22,6 @@ from .game_core import (
     WeightedGame,
     coalition,
     coalition_str,
-    dual_game,
     is_feasible_weights,
     is_representation,
     l1_distance,
@@ -36,8 +30,8 @@ from .game_core import (
 )
 from .indices import (
     AxiomReport,
-    EXACT_REP_MAX_VOTERS,
-    EXACT_WEIGHT_MAX_VOTERS,
+    EXACT_GUARANTEED_VOTERS,
+    EXACT_MAX_VOTERS,
     IndexVector,
     KIND_AVG_REP,
     KIND_AVG_WEIGHT,
@@ -46,6 +40,7 @@ from .indices import (
     average_representation_index,
     average_weight_index,
     check_axioms,
+    check_exact_scale,
     dummy_revealing,
     index_to_json,
     is_representation_compatible_at,

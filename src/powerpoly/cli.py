@@ -19,15 +19,15 @@ from .exact_math import decimal_str
 from .game_core import GameFormatError, parse_game
 from .indices import (
     _BASE_INDICES,
-    _GUARANTEED_REP_VOTERS,
-    _GUARANTEED_WEIGHT_VOTERS,
-    EXACT_REP_MAX_VOTERS,
-    EXACT_WEIGHT_MAX_VOTERS,
+    EXACT_GUARANTEED_VOTERS,
+    KIND_AVG_WEIGHT,
+    KIND_SSI,
     MAX_POLYTOPE_ROWS,
     ScaleExceededError,
     average_representation_index,
     average_weight_index,
     check_axioms,
+    check_exact_scale,
     dummy_revealing,
     index_to_json,
 )
@@ -77,8 +77,22 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _check_exact_scale(kind: str, n: int) -> None:
+    """check_exact_scale, with a note on stderr past the guaranteed scale."""
+    if check_exact_scale(kind, n):
+        print(
+            f"note: {n} voters is beyond the guaranteed exact scale "
+            f"({EXACT_GUARANTEED_VOTERS}); this may take a while",
+            file=sys.stderr,
+        )
+
+
 def _cmd_index(args) -> int:
     game = parse_game(args.game)
+    if args.kind != KIND_SSI:
+        # --dummy-revealing runs the exact pipeline on the dummy-free game
+        n = game.n - len(game.dummies) if args.dummy_revealing else game.n
+        _check_exact_scale("weight" if args.kind == KIND_AVG_WEIGHT else "rep", n)
     if args.dummy_revealing:
         index = dummy_revealing(args.kind, game)
     else:
@@ -109,26 +123,8 @@ def _check_polytope_scale(kind: str, game, exact_needed: bool) -> None:
             f"the {kind} polytope of this game has {rows} constraint rows, "
             f"more than the supported {MAX_POLYTOPE_ROWS}"
         )
-    n = game.n
-    cap = EXACT_WEIGHT_MAX_VOTERS if kind == "weight" else EXACT_REP_MAX_VOTERS
-    soft = (
-        _GUARANTEED_WEIGHT_VOTERS
-        if kind == "weight"
-        else _GUARANTEED_REP_VOTERS
-    )
-    if not exact_needed:
-        return
-    if n > cap:
-        raise ScaleExceededError(
-            f"exact {kind} polytope pipeline supports at most {cap} voters; "
-            f"use --estimate-centroid-mc instead"
-        )
-    if n > soft:
-        print(
-            f"note: {n} voters is beyond the guaranteed exact scale "
-            f"({soft}); this may take a while",
-            file=sys.stderr,
-        )
+    if exact_needed:
+        _check_exact_scale(kind, game.n)
 
 
 def _cmd_polytope(args) -> int:
@@ -142,8 +138,7 @@ def _cmd_polytope(args) -> int:
         or not args.estimate_centroid_mc
     )
     if args.estimate_centroid_mc and args.seed is None:
-        print("error: --estimate-centroid-mc requires --seed", file=sys.stderr)
-        return 2
+        raise GameFormatError("--estimate-centroid-mc requires --seed")
     _check_polytope_scale(args.kind, game, wants_exact)
     poly = build(game)
     if args.json:
@@ -267,6 +262,13 @@ def _cmd_intreps(args) -> int:
     return 0
 
 
+def _table_doc(game, index, precision) -> dict:
+    """index_to_json's document without the keys a table row already has."""
+    doc = index_to_json(game, index, None, precision)
+    del doc["game"], doc["kind"]
+    return doc
+
+
 def _cmd_table(args) -> int:
     if args.max_voters < 1 or args.max_voters > 4:
         print(
@@ -288,21 +290,10 @@ def _cmd_table(args) -> int:
                 "rows": [
                     {
                         "game": spec,
-                        "avg_weight": {
-                            "values": [str(v) for v in aw.values],
-                            "decimals": [
-                                decimal_str(v, precision) for v in aw.values
-                            ],
-                        },
-                        "avg_rep": {
-                            "values": [str(v) for v in ar.values],
-                            "decimals": [
-                                decimal_str(v, precision) for v in ar.values
-                            ],
-                            "avg_quota": str(ar.avg_quota),
-                        },
+                        "avg_weight": _table_doc(game, aw, precision),
+                        "avg_rep": _table_doc(game, ar, precision),
                     }
-                    for spec, _game, aw, ar in rows
+                    for spec, game, aw, ar in rows
                 ],
             }
         )

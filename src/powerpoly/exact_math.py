@@ -2,7 +2,9 @@
 
 Every number that crosses the API of this package's exact paths is a
 `fractions.Fraction`: arbitrary precision, always in lowest terms, never
-rounded. Inside, the linear algebra runs on integers. Each rational row is
+rounded. Text becomes one only through `parse_rational`, which game specs
+use too, so "p" and "p/q" are the one literal grammar throughout.
+Inside, the linear algebra runs on integers. Each rational row is
 scaled to integers and one fraction-free elimination kernel (Bareiss 1968)
 gives both determinants and ranks; its divisions are exact, so no
 intermediate value needs a gcd. Matrices are small and dense, so plain
@@ -15,33 +17,18 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "RatMatrix",
-    "Rational",
     "bareiss",
     "decimal_str",
     "determinant",
     "parse_rational",
     "rank",
-    "rat",
-    "rational_from_json",
-    "rational_to_json",
-    "solve_square_system",
 ]
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Rational from integers, reduced, sign carried on the numerator.
-
-    A zero denominator raises ZeroDivisionError.
-    """
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -57,16 +44,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def rational_to_json(value: Fraction) -> dict[str, str]:
-    """JSON form with digit strings, safe for arbitrary precision."""
-    value = Fraction(value)
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def rational_from_json(obj: dict[str, str]) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def decimal_str(value: Fraction | int, places: int = 6) -> str:
@@ -108,52 +85,6 @@ class RatMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def mul_vector(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(x) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * v for a, v in zip(row, x)), Fraction(0))
-            for row in self.entries
-        )
-
-
-def solve_square_system(
-    a: RatMatrix, b: Sequence
-) -> tuple[Fraction, ...] | None:
-    """Exact solution of `a x = b`, or None when the matrix is singular.
-
-    The pivot is the first row with a nonzero entry in the pivot column;
-    zero tests are exact, so no magnitude-based pivot strategy is needed.
-    """
-    d = a.rows
-    if a.cols != d:
-        raise ValueError("matrix is not square")
-    if len(b) != d:
-        raise ValueError("right-hand side length mismatch")
-    if d == 0:
-        return ()
-    m = [list(row) + [Fraction(b[i])] for i, row in enumerate(a.entries)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
-        for r in range(col + 1, d):
-            f = m[r][col]
-            if f:
-                ratio = f / prow[col]
-                m[r] = [x - y * ratio for x, y in zip(m[r], prow)]
-    x = [Fraction(0)] * d
-    for col in reversed(range(d)):
-        s = m[col][d]
-        for t in range(col + 1, d):
-            if m[col][t]:
-                s -= m[col][t] * x[t]
-        x[col] = s / m[col][col]
-    return tuple(x)
 
 
 def bareiss(rows: list[list[int]]) -> tuple[int, int]:

@@ -4,7 +4,9 @@ A game is a positive quota plus a vector of nonnegative rational weights
 for voters 1..n; a coalition wins exactly when its weight reaches the
 quota. Coalitions are plain int bitmasks (bit i-1 set means voter i is a
 member), and the full coalition structure is derived exhaustively and
-exactly at construction time.
+exactly at construction time. Spec entries are read by
+`exact_math.parse_rational`, the package's one parser for rational
+literals.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from .exact_math import parse_rational
+
 __all__ = [
     "Coalition",
     "GameFormatError",
@@ -23,7 +27,6 @@ __all__ = [
     "WeightedGame",
     "coalition",
     "coalition_str",
-    "dual_game",
     "is_feasible_weights",
     "is_representation",
     "l1_distance",
@@ -36,8 +39,7 @@ Coalition = int
 # Structure derivation scans all 2^n coalitions; refuse anything bigger.
 MAX_VOTERS = 16
 
-_ENTRY_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_GAME_RE = re.compile(r"^\s*\[([^;\[\]]+);([^\[\]]*)\]\s*$")
+_GAME_RE = re.compile(r"^\s*\[([^;\[\]]*);([^\[\]]*)\]\s*$")
 
 
 class GameFormatError(ValueError):
@@ -233,26 +235,22 @@ class WeightedGame:
         return f"WeightedGame({self.to_spec()!r})"
 
 
-def _parse_entry(token: str, what: str) -> Fraction:
-    token = token.strip()
-    if not _ENTRY_RE.match(token):
-        raise GameFormatError(f"bad {what} entry: {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise GameFormatError(f"zero denominator in {what} entry {token!r}") from None
-
-
 def parse_game(text: str) -> WeightedGame:
     """Parse "[q; w1, w2, ..., wn]" with integer or p/q entries."""
     m = _GAME_RE.match(text)
     if not m:
         raise GameFormatError(f"not a game spec: {text!r}")
-    quota = _parse_entry(m.group(1), "quota")
-    body = m.group(2)
+    quota_text, body = m.groups()
+    try:
+        quota = parse_rational(quota_text)
+    except ValueError as exc:
+        raise GameFormatError(f"bad quota entry: {exc}") from None
     if not body.strip():
         raise GameFormatError("a game needs at least one voter")
-    weights = [_parse_entry(tok, "weight") for tok in body.split(",")]
+    try:
+        weights = [parse_rational(tok) for tok in body.split(",")]
+    except ValueError as exc:
+        raise GameFormatError(f"bad weight entry: {exc}") from None
     return WeightedGame(quota, weights)
 
 
@@ -301,11 +299,6 @@ def is_representation(game: WeightedGame, quota, vector: Sequence) -> bool:
     if any(_mask_sum(xs, s) < q for s in game.minimal_winning):
         return False
     return all(_mask_sum(xs, t) < q for t in game.maximal_losing)
-
-
-def dual_game(game: WeightedGame) -> WeightedGame:
-    """Module-level spelling of WeightedGame.dual."""
-    return game.dual()
 
 
 def l1_distance(x: Sequence, y: Sequence) -> Fraction:

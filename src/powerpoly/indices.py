@@ -23,17 +23,20 @@ from .polytope import (
 
 __all__ = [
     "AxiomReport",
-    "EXACT_REP_MAX_VOTERS",
-    "EXACT_WEIGHT_MAX_VOTERS",
-    "MAX_POLYTOPE_ROWS",
+    "EXACT_GUARANTEED_VOTERS",
+    "EXACT_MAX_VOTERS",
     "IndexVector",
     "KIND_AVG_REP",
     "KIND_AVG_WEIGHT",
     "KIND_SSI",
+    "MAX_GRID_POINTS",
+    "MAX_GRID_VOTERS",
+    "MAX_POLYTOPE_ROWS",
     "ScaleExceededError",
     "average_representation_index",
     "average_weight_index",
     "check_axioms",
+    "check_exact_scale",
     "dummy_revealing",
     "index_to_json",
     "is_representation_compatible_at",
@@ -44,18 +47,17 @@ KIND_SSI = "ssi"
 KIND_AVG_WEIGHT = "avg-weight"
 KIND_AVG_REP = "avg-rep"
 
-# Exact scale policy, on both polytopes. Triangulation size, and with it
-# the integer integration cost, grows quickly with the voter count. The
-# worst case measured (20 random games per voter count plus the hardest
-# games found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
-# guaranteed count and within 10 s up to the cap: 0.05 s at 7 voters,
-# 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at 9
-# ([22;9,8,7,6,5,4,3,2,1]). The CLI warns between the two; beyond the
-# cap the exact pipeline refuses.
-_GUARANTEED_WEIGHT_VOTERS = 7
-_GUARANTEED_REP_VOTERS = 7
-EXACT_WEIGHT_MAX_VOTERS = 8
-EXACT_REP_MAX_VOTERS = 8
+# Exact scale policy. Triangulation size, and with it the integer
+# integration cost, grows quickly with the voter count. The worst case
+# measured (20 random games per voter count plus the hardest games
+# found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
+# guaranteed count and within 10 s up to the cap, on either polytope:
+# 0.05 s at 7 voters, 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at
+# 9 ([22;9,8,7,6,5,4,3,2,1]). check_exact_scale is the one place that
+# applies them; the CLI notes on stderr when a request is between the
+# two.
+EXACT_GUARANTEED_VOTERS = 7
+EXACT_MAX_VOTERS = 8
 
 # Largest polytope, in constraint rows, the CLI builds. Building costs
 # about 40 us and 0.9 KB per row and the Monte Carlo set-up about as
@@ -65,9 +67,29 @@ EXACT_REP_MAX_VOTERS = 8
 # on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
 MAX_POLYTOPE_ROWS = 20_000
 
+# Integer grid scans: voters and compositions scanned per call.
+MAX_GRID_VOTERS = 5
+MAX_GRID_POINTS = 20_000_000
+
 
 class ScaleExceededError(RuntimeError):
     """Game too large for the exact integration pipeline."""
+
+
+def check_exact_scale(kind: str, n: int) -> bool:
+    """Refuse an exact pipeline run on the `kind` polytope with n voters.
+
+    `kind` is "weight" or "rep" and only names the polytope in the
+    error. Raises ScaleExceededError beyond EXACT_MAX_VOTERS; otherwise
+    returns whether n is past EXACT_GUARANTEED_VOTERS.
+    """
+    if n > EXACT_MAX_VOTERS:
+        raise ScaleExceededError(
+            f"exact {kind} polytope pipeline supports at most "
+            f"{EXACT_MAX_VOTERS} voters; use estimate_centroid_mc "
+            f"(polytope --estimate-centroid-mc) instead"
+        )
+    return n > EXACT_GUARANTEED_VOTERS
 
 
 @dataclass(frozen=True)
@@ -126,12 +148,7 @@ def shapley_shubik(game: WeightedGame) -> IndexVector:
 
 def average_weight_index(game: WeightedGame) -> IndexVector:
     """Barycenter of the polytope of compatible normalized weights."""
-    if game.n > EXACT_WEIGHT_MAX_VOTERS:
-        raise ScaleExceededError(
-            f"exact average-weight index supports at most "
-            f"{EXACT_WEIGHT_MAX_VOTERS} voters; use estimate_centroid_mc "
-            f"on the weight polytope instead"
-        )
+    check_exact_scale("weight", game.n)
     c = centroid(build_weight_polytope(game))
     last = Fraction(1) - sum(c, Fraction(0))
     return IndexVector(tuple(c) + (last,), KIND_AVG_WEIGHT)
@@ -143,12 +160,7 @@ def average_representation_index(game: WeightedGame) -> IndexVector:
     The quota coordinate of the same barycenter is reported as
     `avg_quota`; together they form a representation of the game.
     """
-    if game.n > EXACT_REP_MAX_VOTERS:
-        raise ScaleExceededError(
-            f"exact average-representation index supports at most "
-            f"{EXACT_REP_MAX_VOTERS} voters; use estimate_centroid_mc "
-            f"on the representation polytope instead"
-        )
+    check_exact_scale("rep", game.n)
     c = centroid(build_representation_polytope(game))
     weights = c[1:]
     last = Fraction(1) - sum(weights, Fraction(0))

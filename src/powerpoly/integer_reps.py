@@ -25,6 +25,8 @@ import numpy as np
 
 from .game_core import WeightedGame, l1_distance
 from .indices import (
+    MAX_GRID_POINTS,
+    MAX_GRID_VOTERS,
     IndexVector,
     ScaleExceededError,
     average_representation_index,
@@ -35,15 +37,11 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "GridSummary",
-    "MAX_GRID_POINTS",
-    "MAX_GRID_VOTERS",
     "convergence_experiment",
     "enumerate_integer_feasible_weights",
     "enumerate_integer_representations",
 ]
 
-MAX_GRID_VOTERS = 5
-MAX_GRID_POINTS = 20_000_000  # compositions scanned per call
 CHUNK = 1 << 13  # compositions per block
 
 

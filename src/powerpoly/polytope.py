@@ -112,10 +112,6 @@ class HPolytope:
         return f"HPolytope(dim={self.dim}, constraints={len(self.constraints)})"
 
 
-def _frac_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 def build_weight_polytope(game: WeightedGame) -> HPolytope:
     """Normalized weight vectors compatible with the game's structure.
 
@@ -410,36 +406,29 @@ def _cone_cells(
     return cells
 
 
-def _triangulation(
-    poly: HPolytope, verts: list[Vertex], apex_rule: str
-) -> list[tuple[int, ...]]:
-    """Cells as index tuples into verts, which is sorted by coordinates."""
-    if not verts:
-        return []
-    if poly.dim == 0:
-        return [(0,)]
-    incidence: dict[int, int] = {}
-    for i, v in enumerate(verts):
-        for j in v.active:
-            incidence[j] = incidence.get(j, 0) | 1 << i
-    cols = list(dict.fromkeys(incidence[j] for j in sorted(incidence)))
-    full = (1 << len(verts)) - 1
-    return _cone_cells(cols, full, poly.dim, apex_rule == "lexmin", {})
-
-
 def _cells(poly: HPolytope, apex_rule: str) -> list[tuple[int, ...]]:
-    """Memoized index cells over enumerate_vertices(poly)."""
+    """Memoized cells as index tuples into enumerate_vertices(poly)."""
     key = ("cells", apex_rule)
-    if key not in poly._cache:
-        poly._cache[key] = _triangulation(poly, enumerate_vertices(poly), apex_rule)
-    return poly._cache[key]
+    if key in poly._cache:
+        return poly._cache[key]
+    verts = enumerate_vertices(poly)
+    if not verts:
+        cells = []
+    elif poly.dim == 0:
+        cells = [(0,)]
+    else:
+        incidence: dict[int, int] = {}
+        for i, v in enumerate(verts):
+            for j in v.active:
+                incidence[j] = incidence.get(j, 0) | 1 << i
+        cols = list(dict.fromkeys(incidence[j] for j in sorted(incidence)))
+        full = (1 << len(verts)) - 1
+        cells = _cone_cells(cols, full, poly.dim, apex_rule == "lexmin", {})
+    poly._cache[key] = cells
+    return cells
 
 
-def triangulate(
-    poly: HPolytope,
-    vertices: Sequence[Vertex] | None = None,
-    apex_rule: str = "lexmin",
-) -> list[Simplex]:
+def triangulate(poly: HPolytope, apex_rule: str = "lexmin") -> list[Simplex]:
     """Cut the polytope into simplices with pairwise disjoint interiors.
 
     Recursive facet coning: the apex (lexicographically smallest vertex,
@@ -453,19 +442,13 @@ def triangulate(
     if apex_rule not in ("lexmin", "lexmax"):
         raise ValueError("apex_rule must be 'lexmin' or 'lexmax'")
     key = ("simplices", apex_rule)
-    if vertices is None:
-        if key not in poly._cache:
-            verts = enumerate_vertices(poly)
-            poly._cache[key] = [
-                Simplex(tuple(verts[i] for i in cell))
-                for cell in _cells(poly, apex_rule)
-            ]
-        return poly._cache[key]
-    verts = sorted(vertices, key=lambda v: v.coords)
-    return [
-        Simplex(tuple(verts[i] for i in cell))
-        for cell in _triangulation(poly, verts, apex_rule)
-    ]
+    if key not in poly._cache:
+        verts = enumerate_vertices(poly)
+        poly._cache[key] = [
+            Simplex(tuple(verts[i] for i in cell))
+            for cell in _cells(poly, apex_rule)
+        ]
+    return poly._cache[key]
 
 
 def _simplex_volume(cell: Simplex) -> Fraction:

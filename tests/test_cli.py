@@ -130,6 +130,35 @@ class TestIndexCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_soft_scale_note(self, capsys):
+        code, out, err = run(
+            capsys, "index", "--kind", "avg-weight", "--game", "[8;1,1,1,1,1,1,1,1]"
+        )
+        assert (code, out) == (0, "1/8 1/8 1/8 1/8 1/8 1/8 1/8 1/8\n")
+        assert "beyond the guaranteed exact scale" in err
+
+    def test_no_scale_note_without_the_exact_pipeline(self, capsys):
+        code, _, err = run(
+            capsys, "index", "--kind", "ssi", "--game", "[8;1,1,1,1,1,1,1,1]"
+        )
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "kind, spec, noted",
+        [
+            ("avg-rep", "[3;1,1,1,1,1,1,1,0,0]", False),
+            ("avg-weight", "[4;1,1,1,1,1,1,1,1,0]", True),
+        ],
+    )
+    def test_dummy_revealing_scale_counts_the_reduced_game(
+        self, capsys, kind, spec, noted
+    ):
+        code, _, err = run(
+            capsys, "index", "--kind", kind, "--dummy-revealing", "--game", spec
+        )
+        assert code == 0
+        assert ("beyond the guaranteed exact scale" in err) == noted
+
     def test_scale_failure_exits_3_naming_fallback(self, capsys):
         code, _, err = run(
             capsys,

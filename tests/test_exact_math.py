@@ -12,36 +12,13 @@ from powerpoly.exact_math import (
     determinant,
     parse_rational,
     rank,
-    rat,
-    rational_from_json,
-    rational_to_json,
-    solve_square_system,
 )
+from expected_values import ACCEPTED_LITERALS, REJECTED_LITERALS
 from integration_oracle import _eliminate
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
-
-
-class TestRat:
-    def test_reduces_to_lowest_terms(self):
-        assert rat(2, 4) == Fraction(1, 2)
-
-    def test_normalizes_sign_into_numerator(self):
-        value = rat(3, -6)
-        assert value == Fraction(-1, 2)
-        assert value.denominator == 2
-
-    def test_keeps_irreducible_input(self):
-        assert rat(97, 150) == Fraction(97, 150)
-
-    def test_integer_shorthand(self):
-        assert rat(5) == Fraction(5)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            rat(1, 0)
 
 
 class TestParseRational:
@@ -54,7 +31,11 @@ class TestParseRational:
     def test_negative_reduces(self):
         assert parse_rational("-3/6") == Fraction(-1, 2)
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "a/b", "1/0", "1/ 2", "/3"])
+    @pytest.mark.parametrize("text", ACCEPTED_LITERALS)
+    def test_accepts_rational_literals(self, text):
+        assert parse_rational(text) == ACCEPTED_LITERALS[text]
+
+    @pytest.mark.parametrize("bad", REJECTED_LITERALS)
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -76,53 +57,6 @@ class TestDecimalStr:
 
     def test_exact_terminating_decimal(self):
         assert decimal_str(Fraction(1, 8), 6) == "0.125000"
-
-
-class TestJson:
-    def test_digit_string_form(self):
-        assert rational_to_json(Fraction(-7, 36)) == {"num": "-7", "den": "36"}
-
-    def test_inverse(self):
-        doc = {"num": "11", "den": "18"}
-        assert rational_to_json(rational_from_json(doc)) == doc
-
-    @given(rationals)
-    def test_round_trip(self, value):
-        assert rational_from_json(rational_to_json(value)) == value
-
-
-class TestSolveSquareSystem:
-    def test_identity(self):
-        a = RatMatrix.from_rows([[1, 0], [0, 1]])
-        assert solve_square_system(a, (Fraction(1, 3), Fraction(1, 3))) == (
-            Fraction(1, 3),
-            Fraction(1, 3),
-        )
-
-    def test_two_boundary_lines(self):
-        # rows are w1+w2=1 and 2w1+w2=1, the lines w2=1-w1 and w2=1-2w1
-        a = RatMatrix.from_rows([[1, 1], [2, 1]])
-        assert solve_square_system(a, (1, 1)) == (Fraction(0), Fraction(1))
-
-    def test_singular_returns_none(self):
-        a = RatMatrix.from_rows([[1, 1], [1, 1]])
-        assert solve_square_system(a, (1, 2)) is None
-
-    @given(
-        st.lists(
-            st.lists(rationals, min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
-        ),
-        st.lists(rationals, min_size=3, max_size=3),
-    )
-    def test_solution_substitutes_back_exactly(self, rows, rhs):
-        a = RatMatrix.from_rows(rows)
-        solution = solve_square_system(a, rhs)
-        if solution is None:
-            assert determinant(a) == 0
-        else:
-            assert a.mul_vector(solution) == tuple(Fraction(v) for v in rhs)
 
 
 class TestDeterminant:

@@ -11,14 +11,13 @@ from powerpoly import (
     NormalizedRepresentation,
     WeightedGame,
     coalition,
-    dual_game,
     is_feasible_weights,
     is_representation,
     l1_distance,
     members,
     parse_game,
 )
-from expected_values import TABLE
+from expected_values import ACCEPTED_LITERALS, REJECTED_LITERALS, TABLE
 
 
 def brute_minimal_winning(game):
@@ -107,6 +106,26 @@ class TestParse:
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(GameFormatError):
             parse_game(bad)
+
+    @pytest.mark.parametrize("field", ["quota", "weight"])
+    @pytest.mark.parametrize("text", ACCEPTED_LITERALS)
+    def test_accepts_rational_literals(self, text, field):
+        value = ACCEPTED_LITERALS[text]
+        spec = f"[{text};9]" if field == "quota" else f"[1;{text},9]"
+        if value < 0:
+            # the literal parses; the game's own value checks refuse it
+            with pytest.raises(GameFormatError, match=f"^{field}s? must be"):
+                parse_game(spec)
+        else:
+            game = parse_game(spec)
+            assert (game.quota if field == "quota" else game.weights[0]) == value
+
+    @pytest.mark.parametrize("field", ["quota", "weight"])
+    @pytest.mark.parametrize("text", REJECTED_LITERALS)
+    def test_rejects_non_rational_literals_naming_the_field(self, text, field):
+        spec = f"[{text};9]" if field == "quota" else f"[1;{text},9]"
+        with pytest.raises(GameFormatError, match=f"bad {field} entry"):
+            parse_game(spec)
 
     def test_voter_cap(self):
         with pytest.raises(GameFormatError):
@@ -239,12 +258,12 @@ class TestDummyReduced:
 
 class TestDual:
     def test_listed_pairs(self):
-        assert dual_game(parse_game("[1;1,1,1]")) == parse_game("[3;1,1,1]")
-        assert dual_game(parse_game("[2;2,1,1]")) == parse_game("[3;2,1,1]")
+        assert parse_game("[1;1,1,1]").dual() == parse_game("[3;1,1,1]")
+        assert parse_game("[2;2,1,1]").dual() == parse_game("[3;2,1,1]")
 
     def test_swaps_winning_with_complement_losing(self, corpus):
         for game in corpus:
-            dual = dual_game(game)
+            dual = game.dual()
             full = (1 << game.n) - 1
             assert dual.minimal_winning == {
                 full ^ t for t in game.maximal_losing
@@ -256,7 +275,7 @@ class TestDual:
     def test_complement_identity_brute_force(self):
         for spec in ("[3;2,1,1]", "[7;4,3,2,2,1]", "[2;1,1,1]"):
             game = parse_game(spec)
-            dual = dual_game(game)
+            dual = game.dual()
             full = (1 << game.n) - 1
             for mask in range(1 << game.n):
                 assert dual.is_winning(mask) == (
@@ -265,11 +284,11 @@ class TestDual:
 
     def test_involution_on_corpus(self, corpus):
         for game in corpus:
-            assert dual_game(dual_game(game)) == game
+            assert game.dual().dual() == game
 
     def test_fractional_weights(self):
         game = parse_game("[1/2;1/3,1/4,1/4]")
-        dual = dual_game(game)
+        dual = game.dual()
         full = (1 << game.n) - 1
         for mask in range(1 << game.n):
             assert dual.is_winning(mask) == (not game.is_winning(full ^ mask))
@@ -383,7 +402,7 @@ class TestGameIdentity:
 def test_structure_invariants_on_random_games(game):
     assert game.minimal_winning == brute_minimal_winning(game)
     assert game.maximal_losing == brute_maximal_losing(game)
-    assert dual_game(dual_game(game)) == game
+    assert game.dual().dual() == game
     assert is_representation(game, game.quota, game.weights)
 
 

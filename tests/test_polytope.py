@@ -7,7 +7,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from powerpoly.exact_math import RatMatrix, rank, solve_square_system
+from powerpoly.exact_math import RatMatrix, determinant, rank
 from powerpoly.game_core import parse_game
 from powerpoly.polytope import (
     Constraint,
@@ -189,12 +189,20 @@ class TestVertexEnumeration:
             for v in enumerate_vertices(poly):
                 confirmed = 0
                 for subset in combinations(sorted(v.active), d):
-                    mat = RatMatrix.from_rows(
-                        [list(poly.constraints[i].a) for i in subset]
-                    )
-                    rhs = tuple(poly.constraints[i].b for i in subset)
-                    sol = solve_square_system(mat, rhs)
-                    if sol is not None:
+                    rows = [list(poly.constraints[i].a) for i in subset]
+                    rhs = [poly.constraints[i].b for i in subset]
+                    det = determinant(RatMatrix.from_rows(rows))
+                    if det:
+                        # Cramer's rule: column k replaced by the bounds
+                        sol = tuple(
+                            determinant(
+                                RatMatrix.from_rows(
+                                    [r[:k] + [b] + r[k + 1 :] for r, b in zip(rows, rhs)]
+                                )
+                            )
+                            / det
+                            for k in range(d)
+                        )
                         assert sol == v.coords
                         confirmed += 1
                 assert confirmed >= 1
