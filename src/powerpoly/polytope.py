@@ -7,7 +7,10 @@ Both live in a chart that eliminates the last weight via
 w_n = 1 - (w_1 + ... + w_{n-1}), and both close the strict separation
 inequalities: the closure only adds boundary slices of measure zero, so
 volumes and centroids are unchanged while vertex enumeration gets a
-compact polytope to work on.
+compact polytope to work on. The builders write each row in integers
+and keep those rows with the polytope; every later stage starts from
+primitive integer rows, derived once per polytope from the Fractions
+only when the polytope was not built from a game.
 
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
@@ -16,15 +19,20 @@ cut into simplices by recursive apex coning over facets read off that
 vertex incidence, with no rank test. Volumes and first moments add up
 integer edge-matrix determinants (Bareiss) over one common denominator,
 so the only Fractions are the final totals. The only floating point in
-this module sits in the Monte Carlo estimator.
+this module sits in the Monte Carlo estimator. It holds each batch of
+points coordinate-major, one row per coordinate, draws a simplex block
+as standard exponentials over their sum (bitwise numpy's flat
+Dirichlet), and tests float copies of the integer rows, so its
+estimates are those of the plain all-rows rejection sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,6 +61,8 @@ __all__ = [
 
 
 ROW_BLOCK = 32  # constraint rows each Monte Carlo batch is tested against at once
+
+_SMALL = {v: Fraction(v) for v in range(-2, 3)}  # every entry of a game row
 
 
 class DegenerateGeometryError(ValueError):
@@ -90,9 +100,9 @@ class Simplex:
 class HPolytope:
     """Bounded intersection of closed halfspaces in Q^dim.
 
-    Instances are immutable once built; derived data (vertices,
-    triangulations, volume, moments) is computed on demand and memoized
-    on the instance.
+    Instances are immutable once built; derived data (integer rows,
+    vertices, triangulations, volume, moments) is computed on demand and
+    memoized on the instance.
     """
 
     __slots__ = ("dim", "constraints", "_cache")
@@ -112,6 +122,30 @@ class HPolytope:
         return f"HPolytope(dim={self.dim}, constraints={len(self.constraints)})"
 
 
+def _game_polytope(
+    dim: int, rows: list[tuple[tuple[int, ...], int]], labels: list[str]
+) -> HPolytope:
+    """Polytope of a builder's integer rows a.x <= b, which it keeps.
+
+    Every entry of a game row is a difference of at most four membership
+    bits, so the constraints share a few Fractions. Every row is also
+    primitive, as it holds a +-1: the bound rows and the representation
+    rows have a +-1 entry, and a weight row has b = +-1 unless its two
+    coalitions agree on the last voter, when they differ on another one,
+    whose entry is +-1. So the rows are the estimator's and the vertex
+    enumerator's integer rows as they stand, each with scale 1.
+    """
+    poly = HPolytope(
+        dim,
+        (
+            Constraint(tuple(map(_SMALL.__getitem__, a)), _SMALL[b], label)
+            for (a, b), label in zip(rows, labels)
+        ),
+    )
+    poly._cache["rows"] = rows, [(1, 1)] * len(rows)
+    return poly
+
+
 def build_weight_polytope(game: WeightedGame) -> HPolytope:
     """Normalized weight vectors compatible with the game's structure.
 
@@ -122,23 +156,27 @@ def build_weight_polytope(game: WeightedGame) -> HPolytope:
     """
     n = game.n
     d = n - 1
-    cons: list[Constraint] = []
-    for i in range(1, n):
-        row = [Fraction(0)] * d
-        row[i - 1] = Fraction(-1)
-        cons.append(Constraint(tuple(row), Fraction(0), f"w{i} >= 0"))
-    cons.append(Constraint((Fraction(1),) * d, Fraction(1), f"w{n} >= 0"))
-    for s in sorted(game.minimal_winning):
-        for t in sorted(game.maximal_losing):
-            s_last = s >> (n - 1) & 1
-            t_last = t >> (n - 1) & 1
-            row = tuple(
-                Fraction((t >> i & 1) - (s >> i & 1) - t_last + s_last)
-                for i in range(d)
+    rows = [(tuple(-1 if j == i else 0 for j in range(d)), 0) for i in range(d)]
+    rows.append(((1,) * d, 1))
+    labels = [f"w{i} >= 0" for i in range(1, n + 1)]
+
+    def chart(masks):
+        # per coalition C, once: x_i - x_n over its members, x_n, its name
+        return [
+            (
+                tuple((c >> i & 1) - (c >> d & 1) for i in range(d)),
+                c >> d & 1,
+                coalition_str(c),
             )
-            label = f"w({coalition_str(s)}) >= w({coalition_str(t)})"
-            cons.append(Constraint(row, Fraction(s_last - t_last), label))
-    return HPolytope(d, cons)
+            for c in sorted(masks)
+        ]
+
+    losers = chart(game.maximal_losing)
+    for s_row, s_last, s_name in chart(game.minimal_winning):
+        for t_row, t_last, t_name in losers:
+            rows.append((tuple(map(sub, t_row, s_row)), s_last - t_last))
+            labels.append(f"w({s_name}) >= w({t_name})")
+    return _game_polytope(d, rows, labels)
 
 
 def build_representation_polytope(game: WeightedGame) -> HPolytope:
@@ -149,34 +187,21 @@ def build_representation_polytope(game: WeightedGame) -> HPolytope:
     and 0 <= q <= 1 bounds the quota.
     """
     n = game.n
-    d = n
-    zero = Fraction(0)
-    one = Fraction(1)
-    cons: list[Constraint] = []
-    cons.append(Constraint((-one,) + (zero,) * (n - 1), zero, "q >= 0"))
-    cons.append(Constraint((one,) + (zero,) * (n - 1), one, "q <= 1"))
-    for i in range(1, n):
-        row = [zero] * d
-        row[i] = -one
-        cons.append(Constraint(tuple(row), zero, f"w{i} >= 0"))
-    cons.append(Constraint((zero,) + (one,) * (n - 1), one, f"w{n} >= 0"))
+    rows = [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
+    rows.insert(1, ((1,) + (0,) * (n - 1), 1))
+    rows.append(((0,) + (1,) * (n - 1), 1))
+    labels = ["q >= 0", "q <= 1"] + [f"w{i} >= 0" for i in range(1, n + 1)]
     for s in sorted(game.minimal_winning):
         s_last = s >> (n - 1) & 1
-        row = (one,) + tuple(
-            Fraction(s_last - (s >> i & 1)) for i in range(n - 1)
-        )
-        cons.append(
-            Constraint(row, Fraction(s_last), f"w({coalition_str(s)}) >= q")
-        )
+        row = tuple(s_last - (s >> i & 1) for i in range(n - 1))
+        rows.append(((1,) + row, s_last))
+        labels.append(f"w({coalition_str(s)}) >= q")
     for t in sorted(game.maximal_losing):
         t_last = t >> (n - 1) & 1
-        row = (-one,) + tuple(
-            Fraction((t >> i & 1) - t_last) for i in range(n - 1)
-        )
-        cons.append(
-            Constraint(row, Fraction(-t_last), f"w({coalition_str(t)}) <= q")
-        )
-    return HPolytope(d, cons)
+        row = tuple((t >> i & 1) - t_last for i in range(n - 1))
+        rows.append(((-1,) + row, -t_last))
+        labels.append(f"w({coalition_str(t)}) <= q")
+    return _game_polytope(n, rows, labels)
 
 
 def constraint_count(game: WeightedGame, representation: bool = False) -> int:
@@ -195,9 +220,17 @@ def constraint_count(game: WeightedGame, representation: bool = False) -> int:
 
 # -- vertex enumeration -------------------------------------------------
 
-def _integer_rows(constraints: Sequence[Constraint]) -> list[tuple[tuple[int, ...], int]]:
-    """Rescale each constraint to a primitive integer row (a, b)."""
+def _scaled_rows(
+    constraints: Sequence[Constraint],
+) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, int]]]:
+    """Primitive integer rows (a, b) and the factors (g, den) that undo them.
+
+    Constraint j is rows[j] * g / den, where den clears its denominators
+    and g is the gcd that makes the cleared row primitive; a constraint
+    that already is a primitive integer row has g = den = 1.
+    """
     rows = []
+    scales = []
     for con in constraints:
         den = lcm(con.b.denominator, *(c.denominator for c in con.a))
         a = tuple(c.numerator * (den // c.denominator) for c in con.a)
@@ -210,7 +243,22 @@ def _integer_rows(constraints: Sequence[Constraint]) -> list[tuple[tuple[int, ..
             a = tuple(c // g for c in a)
             b //= g
         rows.append((a, b))
-    return rows
+        scales.append((g, den))
+    return rows, scales
+
+
+def _integer_rows(constraints: Sequence[Constraint]) -> list[tuple[tuple[int, ...], int]]:
+    """Rescale each constraint to a primitive integer row (a, b)."""
+    return _scaled_rows(constraints)[0]
+
+
+def _rows(
+    poly: HPolytope,
+) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, int]]]:
+    """The polytope's _scaled_rows, memoized; the builders store theirs."""
+    if "rows" not in poly._cache:
+        poly._cache["rows"] = _scaled_rows(poly.constraints)
+    return poly._cache["rows"]
 
 
 def _preprocess(rows: Iterable[tuple[tuple[int, ...], int]]):
@@ -334,7 +382,7 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
     d = poly.dim
-    rows = _integer_rows(poly.constraints)
+    rows = _rows(poly)[0]
     pre = _preprocess(rows)
     rays = None if pre is None else _cone_rays(pre, d)
     verts: list[Vertex] = []
@@ -548,9 +596,7 @@ def _bounding_box(
     row costs one activity sum over its support, which may miss at most
     one bound, and a Fraction is built only when a bound improves.
     """
-    terms = [
-        ([(j, c) for j, c in enumerate(a) if c], b) for a, b in rows if any(a)
-    ]
+    terms = [(list(compress(enumerate(a), a)), b) for a, b in rows if any(a)]
     den = 1
     lo: list[int | None] = [None] * d
     hi: list[int | None] = [None] * d
@@ -612,24 +658,50 @@ def _simplex_block(
     imply x_i >= 0 for each member and sum over the block <= s. Empty
     when no such block exists. Sampling the block from the solid simplex
     instead of its bounding box multiplies rejection acceptance by about
-    k!.
+    k!. Rows are screened by counts and value sets over the whole row,
+    so a support is listed only for the few rows that can bound a block.
     """
-    nonneg = set()
-    for a, b in rows:
-        support = [i for i, c in enumerate(a) if c]
-        if len(support) == 1 and a[support[0]] < 0 and b == 0:
-            nonneg.add(support[0])
+    nonneg = {
+        a.index(min(a))
+        for a, b in rows
+        if b == 0 and a.count(0) == len(a) - 1 and min(a) < 0
+    }
     best: tuple[tuple[int, ...], Fraction] = ((), Fraction(0))
     for a, b in rows:
+        if b <= 0:
+            continue
+        values = set(a)
+        values.discard(0)
+        if len(values) != 1:
+            continue
+        coef = values.pop()
+        if coef <= 0:
+            continue
         support = [i for i, c in enumerate(a) if c]
-        if len(support) < 2 or not set(support) <= nonneg:
+        if len(support) < 2 or not nonneg.issuperset(support):
             continue
-        coef = a[support[0]]
-        if coef <= 0 or any(a[i] != coef for i in support):
-            continue
-        if b > 0 and len(support) > len(best[0]):
+        if len(support) > len(best[0]):
             best = (tuple(support), Fraction(b, coef))
     return best
+
+
+def _flat_dirichlet(rng: np.random.Generator, out: Sequence[np.ndarray]) -> None:
+    """Fill k rows with the first k parts of flat Dirichlet draws on k + 1.
+
+    Column j of the rows is one point drawn uniformly from the standard
+    k-simplex. The draw is bitwise rng.dirichlet(np.ones(k + 1), size)
+    without its last part, transposed: numpy draws the parts of each
+    point as standard exponentials (its gamma(1)), point after point, and
+    multiplies them by one over their left-to-right sum.
+    """
+    k = len(out)
+    exps = rng.standard_exponential((len(out[0]), k + 1))
+    inv = exps[:, 0].copy()
+    for j in range(1, k + 1):
+        inv += exps[:, j]
+    np.divide(1.0, inv, out=inv)
+    for j, row in enumerate(out):
+        np.multiply(exps[:, j], inv, out=row)
 
 
 def estimate_centroid_mc(
@@ -639,13 +711,21 @@ def estimate_centroid_mc(
 
     Proposal region: any coordinate block the constraints confine to a
     simplex is drawn from that simplex (flat Dirichlet), the remaining
-    coordinates from their bounding-box intervals. Each batch of points
-    is tested against ROW_BLOCK constraint rows at a time, and only the
-    points inside every block so far, in their drawn order, go on to the
-    next. So the slacks held at once are one batch times ROW_BLOCK,
-    however many rows the polytope has, and the accepted points are the
-    same as from one test against all rows. Returns (estimate, standard
-    errors) per coordinate. Deterministic for a fixed seed.
+    coordinates from their bounding-box intervals. Box, block and the
+    float rows tested all come from the polytope's integer rows. A float
+    row is the integer row when that is the constraint itself, and the
+    constraint's coefficients rounded as float(Fraction) rounds them
+    otherwise.
+
+    A batch is held coordinate-major, one row of points per coordinate,
+    so the block draw writes each coordinate straight into its row. Each
+    batch is tested against ROW_BLOCK constraint rows at a time, and
+    only the points inside every block so far, in their drawn order, go
+    on to the next. So the slacks held at once are one batch times
+    ROW_BLOCK, however many rows the polytope has, and the accepted
+    points are the same as from one test against all rows. Returns
+    (estimate, standard errors) per coordinate, summed point after point
+    in drawn order. Deterministic for a fixed seed.
 
     Raises EstimateInconclusiveError when fewer than two samples land
     inside the polytope, since one point admits no error estimate. The
@@ -658,7 +738,7 @@ def estimate_centroid_mc(
     d = poly.dim
     if d == 0:
         return (), ()
-    rows = _integer_rows(poly.constraints)
+    rows, scales = _rows(poly)
     box = _bounding_box(d, rows)
     if any(l > h for l, h in box):
         raise EstimateInconclusiveError("bounding box is empty")
@@ -666,10 +746,16 @@ def estimate_centroid_mc(
     free = [i for i in range(d) if i not in block]
     lo = np.array([float(box[i][0]) for i in free])
     hi = np.array([float(box[i][1]) for i in free])
-    a_mat = np.array([[float(c) for c in con.a] for con in poly.constraints])
-    b_vec = np.array([float(con.b) for con in poly.constraints])
+    # float(Fraction) is the correctly rounded p / q, and so is the int
+    # true division c * g / den of the same rational
+    float_rows = [
+        (a, b) if g == den == 1 else ([c * g / den for c in a], b * g / den)
+        for (a, b), (g, den) in zip(rows, scales)
+    ]
+    a_mat = np.array([a for a, _ in float_rows], dtype=float).reshape(len(rows), d)
+    b_vec = np.array([b for _, b in float_rows], dtype=float)
     row_blocks = [
-        (a_mat[r : r + ROW_BLOCK].T.copy(), b_vec[r : r + ROW_BLOCK])
+        (a_mat[r : r + ROW_BLOCK], b_vec[r : r + ROW_BLOCK, None])
         for r in range(0, len(b_vec), ROW_BLOCK)
     ]
     rng = np.random.default_rng(seed)
@@ -680,21 +766,23 @@ def estimate_centroid_mc(
     while remaining:
         batch = min(remaining, 1 << 17)
         remaining -= batch
-        pts = np.empty((batch, d))
+        pts = np.empty((d, batch))
         if free:
-            pts[:, free] = rng.uniform(lo, hi, size=(batch, len(free)))
+            pts[free] = rng.uniform(lo, hi, size=(batch, len(free))).T
         if block:
-            k = len(block)
-            simplex = rng.dirichlet(np.ones(k + 1), size=batch)[:, :k]
-            pts[:, block] = simplex * float(scale)
+            _flat_dirichlet(rng, [pts[i] for i in block])
+            for i in block:
+                pts[i] *= float(scale)
         inside = pts
-        for a_t, b_blk in row_blocks:
-            slack = inside @ a_t
+        for a_blk, b_blk in row_blocks:
+            slack = a_blk @ inside
             np.subtract(b_blk, slack, out=slack)
-            inside = inside[(slack >= -1e-12).all(axis=1)]
-            if not len(inside):
+            inside = inside[:, np.logical_and.reduce(slack >= -1e-12, axis=0)]
+            if not inside.shape[1]:
                 break
-        if len(inside):
+        if inside.shape[1]:
+            # back to one row per point, so the sums run in drawn order
+            inside = np.ascontiguousarray(inside.T)
             kept += len(inside)
             acc += inside.sum(axis=0)
             acc_sq += (inside**2).sum(axis=0)

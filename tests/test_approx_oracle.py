@@ -8,6 +8,7 @@ inputs cross many block boundaries.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,9 @@ from powerpoly.polytope import (
     EstimateInconclusiveError,
     HPolytope,
     _bounding_box,
+    _flat_dirichlet,
     _integer_rows,
+    _simplex_block,
     build_representation_polytope,
     build_weight_polytope,
     estimate_centroid_mc,
@@ -95,6 +98,26 @@ HAND_BUILT = {
         ],
     ),
     "empty-box": poly_from(1, [((1,), 0), ((-1,), -1)]),
+    # simplex block (0, 2) around a coordinate drawn from its box, and a
+    # row with gcd 2, whose floats are not its primitive integer row's
+    "gapped": poly_from(
+        3,
+        [
+            ((-1, 0, 0), 0),
+            ((0, 0, -1), 0),
+            ((2, 0, 2), 2),
+            ((0, -1, 0), Fraction(1, 2)),
+            ((0, 1, 0), 1),
+            ((-1, 1, 1), Fraction(3, 4)),
+        ],
+    ),
+    # x <= y scaled by 1e-13: the 1e-12 slack tolerance applies to the
+    # row as given, so it accepts the whole triangle, and only floats
+    # rounded from the given Fractions, not from the primitive row, agree
+    "tiny-row": poly_from(
+        2,
+        UNIT_TRIANGLE + [((Fraction(1, 10**13), -Fraction(1, 10**13)), 0)],
+    ),
     "zero-dimensional": HPolytope(0, []),
 }
 
@@ -131,7 +154,8 @@ def test_boxes_on_catalogue_and_mc_games(builder):
 
 
 @pytest.mark.parametrize(
-    "name", ["unit-triangle", "fractional", "band", "chained", "empty-box"]
+    "name",
+    ["unit-triangle", "fractional", "band", "chained", "empty-box", "gapped", "tiny-row"],
 )
 def test_boxes_on_hand_built_polytopes(name):
     poly = HAND_BUILT[name]
@@ -240,3 +264,28 @@ def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
     monkeypatch.setattr(polytope, "ROW_BLOCK", row_block)
     for samples, seed in ((40, 7), (5_000, 3), (60_000, 42)):
         assert_same_estimate(HAND_BUILT[name], samples, seed)
+
+
+def test_gapped_block_is_split_by_a_free_coordinate():
+    rows = _integer_rows(HAND_BUILT["gapped"].constraints)
+    assert _simplex_block(rows) == ((0, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_block_draw_is_numpys_flat_dirichlet(k):
+    # estimate_centroid_mc reproduces its reference only while this holds
+    for seed in (0, 7, 2**32 - 1):
+        for batch in (1, 5, 3_000):
+            rng = np.random.default_rng(seed)
+            got = np.empty((k, batch))
+            _flat_dirichlet(rng, list(got))
+            ref = np.random.default_rng(seed)
+            want = ref.dirichlet(np.ones(k + 1), size=batch)[:, :k].T
+            message = (
+                f"numpy {np.__version__} no longer draws dirichlet(ones({k + 1})) "
+                "as standard exponentials over their left-to-right sum "
+                f"(seed {seed}, batch {batch}); polytope._flat_dirichlet "
+                "must follow its new stream"
+            )
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), message
+            assert rng.bit_generator.state == ref.bit_generator.state, message
