@@ -19,11 +19,13 @@ cut into simplices by recursive apex coning over facets read off that
 vertex incidence, with no rank test. Volumes and first moments add up
 integer edge-matrix determinants (Bareiss) over one common denominator,
 so the only Fractions are the final totals. The only floating point in
-this module sits in the Monte Carlo estimator. It holds each batch of
-points coordinate-major, one row per coordinate, draws a simplex block
-as standard exponentials over their sum (bitwise numpy's flat
-Dirichlet), and tests float copies of the integer rows, so its
-estimates are those of the plain all-rows rejection sampler.
+this module sits in the Monte Carlo estimator. It tests each batch of
+points in column chunks, held coordinate-major with one row per
+coordinate, so it holds only one chunk times ROW_BLOCK slacks and one
+batch's accepted points at once. It draws a simplex block as standard
+exponentials over their sum (bitwise numpy's flat Dirichlet) and tests
+float copies of the integer rows, so its estimates are those of the
+plain all-rows rejection sampler.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ __all__ = [
 ]
 
 
-ROW_BLOCK = 32  # constraint rows each Monte Carlo batch is tested against at once
+ROW_BLOCK = 32  # constraint rows each Monte Carlo chunk is tested against at once
+COLUMN_CHUNK = 1 << 13  # points of a Monte Carlo batch drawn and tested at once
 
 _SMALL = {v: Fraction(v) for v in range(-2, 3)}  # every entry of a game row
 
@@ -245,11 +248,6 @@ def _scaled_rows(
         rows.append((a, b))
         scales.append((g, den))
     return rows, scales
-
-
-def _integer_rows(constraints: Sequence[Constraint]) -> list[tuple[tuple[int, ...], int]]:
-    """Rescale each constraint to a primitive integer row (a, b)."""
-    return _scaled_rows(constraints)[0]
 
 
 def _rows(
@@ -590,19 +588,26 @@ def _bounding_box(
     """Interval bounds per coordinate, derived from integer rows a.x <= b.
 
     Repeated one-variable propagation: a row bounds x_i once every other
-    term in it has a finite bound of the right sign. Game polytopes
-    stabilize in two passes; anything still unbounded is an error. Bounds
-    are kept as integer numerators over one common denominator, so each
-    row costs one activity sum over its support, which may miss at most
-    one bound, and a Fraction is built only when a bound improves.
+    term in it has a finite bound of the right sign. A row never moves a
+    bound it reads, so a pass that has moved nothing when it reaches the
+    previous pass's last moving row would read from there on what that
+    pass read, and propagation ends there. Game polytopes settle in their
+    first pass, and the second ends at that row; anything still unbounded
+    is an error. Bounds are kept as integer numerators over one common
+    denominator, so each row costs one activity sum over its support,
+    which may miss at most one bound, and a Fraction is built only when
+    a bound improves.
     """
     terms = [(list(compress(enumerate(a), a)), b) for a, b in rows if any(a)]
     den = 1
     lo: list[int | None] = [None] * d
     hi: list[int | None] = [None] * d
+    last = len(terms)  # the previous pass's last row that moved a bound
     for _ in range(2 * d + 2):
-        changed = False
-        for support, b in terms:
+        moved = None
+        for r, (support, b) in enumerate(terms):
+            if r == last and moved is None:
+                break
             activity = 0
             missing = None
             for j, c in support:
@@ -641,9 +646,10 @@ def _bounding_box(
                         hi[i] = scaled
                     else:
                         lo[i] = scaled
-                    changed = True
-        if not changed:
+                    moved = r
+        if moved is None:
             break
+        last = moved
     if any(l is None or h is None for l, h in zip(lo, hi)):
         raise ValueError("constraints do not bound every coordinate")
     return [(Fraction(l, den), Fraction(h, den)) for l, h in zip(lo, hi)]
@@ -717,15 +723,19 @@ def estimate_centroid_mc(
     constraint's coefficients rounded as float(Fraction) rounds them
     otherwise.
 
-    A batch is held coordinate-major, one row of points per coordinate,
-    so the block draw writes each coordinate straight into its row. Each
-    batch is tested against ROW_BLOCK constraint rows at a time, and
-    only the points inside every block so far, in their drawn order, go
-    on to the next. So the slacks held at once are one batch times
-    ROW_BLOCK, however many rows the polytope has, and the accepted
-    points are the same as from one test against all rows. Returns
-    (estimate, standard errors) per coordinate, summed point after point
-    in drawn order. Deterministic for a fixed seed.
+    Each batch draws its box coordinates first, then goes through its
+    points COLUMN_CHUNK at a time: a chunk draws its simplex block (the
+    exponentials continue one stream, so the batch's points are those of
+    one draw) and is held coordinate-major, one row of points per
+    coordinate, so the block draw writes each coordinate straight into
+    its row. Each chunk is tested against ROW_BLOCK constraint rows at a
+    time, and only the points inside every block so far, in their drawn
+    order, go on to the next. So what is held at once is one chunk times
+    ROW_BLOCK slacks, however many rows the polytope has, plus one
+    batch's accepted points, and those are the same as from one test of
+    the whole batch against all rows. Returns (estimate, standard
+    errors) per coordinate, summed point after point in drawn order.
+    Deterministic for a fixed seed.
 
     Raises EstimateInconclusiveError when fewer than two samples land
     inside the polytope, since one point admits no error estimate. The
@@ -766,23 +776,30 @@ def estimate_centroid_mc(
     while remaining:
         batch = min(remaining, 1 << 17)
         remaining -= batch
-        pts = np.empty((d, batch))
         if free:
-            pts[free] = rng.uniform(lo, hi, size=(batch, len(free))).T
-        if block:
-            _flat_dirichlet(rng, [pts[i] for i in block])
-            for i in block:
-                pts[i] *= float(scale)
-        inside = pts
-        for a_blk, b_blk in row_blocks:
-            slack = a_blk @ inside
-            np.subtract(b_blk, slack, out=slack)
-            inside = inside[:, np.logical_and.reduce(slack >= -1e-12, axis=0)]
-            if not inside.shape[1]:
-                break
-        if inside.shape[1]:
+            uniform = rng.uniform(lo, hi, size=(batch, len(free))).T
+        accepted = []
+        for start in range(0, batch, COLUMN_CHUNK):
+            stop = min(start + COLUMN_CHUNK, batch)
+            pts = np.empty((d, stop - start))
+            if free:
+                pts[free] = uniform[:, start:stop]
+            if block:
+                _flat_dirichlet(rng, [pts[i] for i in block])
+                for i in block:
+                    pts[i] *= float(scale)
+            inside = pts
+            for a_blk, b_blk in row_blocks:
+                slack = a_blk @ inside
+                np.subtract(b_blk, slack, out=slack)
+                inside = inside[:, np.logical_and.reduce(slack >= -1e-12, axis=0)]
+                if not inside.shape[1]:
+                    break
+            if inside.shape[1]:
+                accepted.append(inside)
+        if accepted:
             # back to one row per point, so the sums run in drawn order
-            inside = np.ascontiguousarray(inside.T)
+            inside = np.ascontiguousarray(np.concatenate(accepted, axis=1).T)
             kept += len(inside)
             acc += inside.sum(axis=0)
             acc_sq += (inside**2).sum(axis=0)

@@ -6,6 +6,7 @@ or the same refusal. Block sizes are patched down in places so that small
 inputs cross many block boundaries.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from powerpoly.polytope import (
     HPolytope,
     _bounding_box,
     _flat_dirichlet,
-    _integer_rows,
+    _scaled_rows,
     _simplex_block,
     build_representation_polytope,
     build_weight_polytope,
@@ -49,6 +50,11 @@ MC_GAMES = (
     "[13;8,6,5,4,3,2,1,1]",
     "[20;9,8,7,6,5,4,3,2,1]",
 )
+
+# Monte Carlo column chunks: single points, chunks that end off the end
+# of a batch (131,072 is no multiple of 3 or 8,191), and one chunk that
+# holds the whole batch.
+COLUMN_CHUNKS = (1, 3, 8_191, (1 << 17) + 1)
 
 # One game per voter count for the exhaustive grid comparisons.
 GRID_GAMES = ("[1;1]", "[2;1,1]", "[3;2,1,1]", "[3;2,1,1,1]", "[8;5,3,2,2,1]")
@@ -118,12 +124,24 @@ HAND_BUILT = {
         2,
         UNIT_TRIANGLE + [((Fraction(1, 10**13), -Fraction(1, 10**13)), 0)],
     ),
+    # -x0 <= x2 <= x1 <= x0 <= 1 in an order that propagates backwards:
+    # pass 1 moves a bound only at row 2, pass 2 moves one at row 3, past
+    # pass 1's last move, and the lower bound of x0 first moves in pass 3
+    "late-chain": poly_from(
+        3,
+        [
+            ((-1, 0, -1), 0),
+            ((-1, 1, 0), 0),
+            ((1, 0, 0), 1),
+            ((0, -1, 1), 0),
+        ],
+    ),
     "zero-dimensional": HPolytope(0, []),
 }
 
 
 def box(poly):
-    return _bounding_box(poly.dim, _integer_rows(poly.constraints))
+    return _bounding_box(poly.dim, _scaled_rows(poly.constraints)[0])
 
 
 def outcome(estimator, poly, samples, seed):
@@ -155,7 +173,16 @@ def test_boxes_on_catalogue_and_mc_games(builder):
 
 @pytest.mark.parametrize(
     "name",
-    ["unit-triangle", "fractional", "band", "chained", "empty-box", "gapped", "tiny-row"],
+    [
+        "unit-triangle",
+        "fractional",
+        "band",
+        "chained",
+        "empty-box",
+        "gapped",
+        "tiny-row",
+        "late-chain",
+    ],
 )
 def test_boxes_on_hand_built_polytopes(name):
     poly = HAND_BUILT[name]
@@ -266,8 +293,57 @@ def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
         assert_same_estimate(HAND_BUILT[name], samples, seed)
 
 
+@pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_estimates_on_hand_built_polytopes_in_column_chunks(monkeypatch, name, chunk):
+    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    for samples, seed in ((40, 7), (5_000, 3)):
+        assert_same_estimate(HAND_BUILT[name], samples, seed)
+
+
+@pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_estimates_on_mc_games_in_column_chunks(monkeypatch, builder, chunk):
+    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    for spec in MC_GAMES:
+        poly = builder(parse_game(spec))
+        # every chunk is a pass of a Python loop, so small chunks get
+        # proportionally fewer samples
+        samples = min(40_000, 2_000_000 // len(poly.constraints), 2_000 * chunk)
+        assert_same_estimate(poly, samples, 1)
+
+
+@pytest.mark.parametrize("chunk", COLUMN_CHUNKS[1:])
+@pytest.mark.parametrize("name", ["gapped", "tiny-row"])
+def test_estimates_across_batches_in_column_chunks(monkeypatch, name, chunk):
+    # gapped draws box uniforms and a simplex block, so a stream drawn in
+    # any other order than the whole batch's uniforms first shows here;
+    # tiny-row draws a simplex block alone
+    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    assert_same_estimate(HAND_BUILT[name], (1 << 17) + 999, 5)
+
+
+def test_estimate_holds_one_chunk_of_slacks():
+    poly = build_weight_polytope(parse_game("[20;9,8,7,6,5,4,3,2,1]"))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            outcome(estimate_centroid_mc, poly, samples, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    outcome(estimate_centroid_mc, poly, 1_000, 1)  # first-call allocations
+    one_batch = peak(1 << 17)
+    # a whole batch against one row block would hold 32 MB of slacks
+    assert one_batch < 8 << 20, one_batch
+    # three batches hold the same chunk arrays; only Python ints differ
+    assert peak(300_000) <= one_batch + (64 << 10)
+
+
 def test_gapped_block_is_split_by_a_free_coordinate():
-    rows = _integer_rows(HAND_BUILT["gapped"].constraints)
+    rows, _ = _scaled_rows(HAND_BUILT["gapped"].constraints)
     assert _simplex_block(rows) == ((0, 2), Fraction(1))
 
 

@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from powerpoly.polytope import HPolytope, Vertex, _integer_rows, _preprocess
+from powerpoly.polytope import HPolytope, Vertex, _preprocess, _scaled_rows
 
 
 def _solve_echelon(ech: list[list[int]], pivots: list[int], d: int):
@@ -122,7 +122,7 @@ def _filter_feasible(rows: list[tuple[tuple[int, ...], int]], candidates: set) -
 def oracle_vertices(poly: HPolytope) -> list[Vertex]:
     """Vertices by brute force, sorted lexicographically; never cached."""
     d = poly.dim
-    pre = _preprocess(_integer_rows(poly.constraints))
+    pre = _preprocess(_scaled_rows(poly.constraints)[0])
     verts: list[Vertex] = []
     if pre is None:
         pass
