@@ -137,8 +137,13 @@ def _cmd_polytope(args) -> int:
         args.vertices or args.volume or args.moments or args.json
         or not args.estimate_centroid_mc
     )
-    if args.estimate_centroid_mc and args.seed is None:
-        raise GameFormatError("--estimate-centroid-mc requires --seed")
+    if args.estimate_centroid_mc:
+        if args.seed is None:
+            raise GameFormatError("--estimate-centroid-mc requires --seed")
+        if args.seed < 0:
+            raise GameFormatError("--seed must be nonnegative")
+        if args.samples < 1:
+            raise GameFormatError("--samples must be positive")
     _check_polytope_scale(args.kind, game, wants_exact)
     poly = build(game)
     if args.json:
@@ -200,6 +205,10 @@ def _cmd_intreps(args) -> int:
             ) from None
         if not totals:
             raise GameFormatError("empty totals list")
+        if totals[0] < 1:
+            raise GameFormatError("totals must be positive")
+        if any(b <= a for a, b in zip(totals, totals[1:])):
+            raise GameFormatError("totals must be strictly ascending")
         table = convergence_experiment(game, totals, with_quota=args.with_quota)
         if args.json:
             _emit_json(
@@ -243,6 +252,8 @@ def _cmd_intreps(args) -> int:
         return 0
     if args.total is None:
         raise GameFormatError("either --total or --convergence is required")
+    if args.total < 1:
+        raise GameFormatError("--total must be positive")
     scan = (
         enumerate_integer_representations
         if args.with_quota

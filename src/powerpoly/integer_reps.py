@@ -11,7 +11,9 @@ The scan runs on blocks of at most CHUNK compositions, one per column,
 so its memory does not grow with the grid. Each block tests all its
 compositions with one pair of matrix products against the minimal
 winning and maximal losing coalitions, and adds its weighted column sums
-with one more.
+with one more. The scan functions import numpy themselves, so importing
+this module does not load it; the first scan in a process pays that
+import.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .game_core import WeightedGame, l1_distance
 from .indices import (
@@ -32,6 +32,9 @@ from .indices import (
     average_representation_index,
     average_weight_index,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConvergenceRow",
@@ -73,6 +76,8 @@ class ConvergenceTable:
 
 
 def _structure_matrices(game: WeightedGame) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     def mat(masks):
         return np.array(
             [[mask >> i & 1 for i in range(game.n)] for mask in sorted(masks)],
@@ -99,6 +104,8 @@ def _check_scale(game: WeightedGame, total: int) -> None:
 
 def _prefixes(width: int, total: int) -> np.ndarray:
     """All width-tuples of nonnegative integers with sum <= total, in lex order."""
+    import numpy as np
+
     rows = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(width):
@@ -118,6 +125,8 @@ def _blocks(n: int, total: int, dtype):
     r = total - sum(head) and t runs from 0 to r. One block can take
     many short tails or cut a long one into ranges.
     """
+    import numpy as np
+
     if n == 1:
         yield np.full((1, 1), total, dtype=dtype)
         return
@@ -141,6 +150,8 @@ def _blocks(n: int, total: int, dtype):
 
 
 def _grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:
+    import numpy as np
+
     n = game.n
     win_mat, lose_mat = _structure_matrices(game)
     # A column adds at most total * total to a sum (a weight times its

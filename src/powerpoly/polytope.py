@@ -19,13 +19,15 @@ cut into simplices by recursive apex coning over facets read off that
 vertex incidence, with no rank test. Volumes and first moments add up
 integer edge-matrix determinants (Bareiss) over one common denominator,
 so the only Fractions are the final totals. The only floating point in
-this module sits in the Monte Carlo estimator. It tests each batch of
-points in column chunks, held coordinate-major with one row per
-coordinate, so it holds only one chunk times ROW_BLOCK slacks and one
-batch's accepted points at once. It draws a simplex block as standard
-exponentials over their sum (bitwise numpy's flat Dirichlet) and tests
-float copies of the integer rows, so its estimates are those of the
-plain all-rows rejection sampler.
+this module sits in the Monte Carlo estimator, and only it imports
+numpy, on its first call: building a polytope and every exact stage run
+without numpy loaded. It tests each batch of points in column chunks,
+held coordinate-major with one row per coordinate, so it holds only one
+chunk times ROW_BLOCK slacks and one batch's accepted points at once.
+It draws a simplex block as standard exponentials over their sum
+(bitwise numpy's flat Dirichlet) and tests float copies of the integer
+rows, so its estimates are those of the plain all-rows rejection
+sampler.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from fractions import Fraction
 from itertools import compress
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact_math import RatMatrix, bareiss, determinant
 from .game_core import WeightedGame, coalition_str
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Constraint",
@@ -104,8 +107,9 @@ class HPolytope:
     """Bounded intersection of closed halfspaces in Q^dim.
 
     Instances are immutable once built; derived data (integer rows,
-    vertices, triangulations, volume, moments) is computed on demand and
-    memoized on the instance.
+    vertices, triangulations, volume, moments, the Monte Carlo bounding
+    box and simplex block) is computed on demand and memoized on the
+    instance.
     """
 
     __slots__ = ("dim", "constraints", "_cache")
@@ -700,6 +704,8 @@ def _flat_dirichlet(rng: np.random.Generator, out: Sequence[np.ndarray]) -> None
     point as standard exponentials (its gamma(1)), point after point, and
     multiplies them by one over their left-to-right sum.
     """
+    import numpy as np
+
     k = len(out)
     exps = rng.standard_exponential((len(out[0]), k + 1))
     inv = exps[:, 0].copy()
@@ -721,7 +727,8 @@ def estimate_centroid_mc(
     float rows tested all come from the polytope's integer rows. A float
     row is the integer row when that is the constraint itself, and the
     constraint's coefficients rounded as float(Fraction) rounds them
-    otherwise.
+    otherwise. Box and block are memoized on the polytope, so further
+    estimates of it (another seed or sample count) skip them.
 
     Each batch draws its box coordinates first, then goes through its
     points COLUMN_CHUNK at a time: a chunk draws its simplex block (the
@@ -743,16 +750,19 @@ def estimate_centroid_mc(
     has measured rates): on game polytopes that happens on most games
     beyond 6 voters (weight) or 5 voters (representation).
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be positive")
     d = poly.dim
     if d == 0:
         return (), ()
     rows, scales = _rows(poly)
-    box = _bounding_box(d, rows)
+    if "proposal" not in poly._cache:
+        poly._cache["proposal"] = _bounding_box(d, rows), _simplex_block(rows)
+    box, (block, scale) = poly._cache["proposal"]
     if any(l > h for l, h in box):
         raise EstimateInconclusiveError("bounding box is empty")
-    block, scale = _simplex_block(rows)
     free = [i for i in range(d) if i not in block]
     lo = np.array([float(box[i][0]) for i in free])
     hi = np.array([float(box[i][1]) for i in free])

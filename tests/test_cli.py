@@ -423,6 +423,88 @@ class TestPrecision:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polytope", "--kind", "weight", "--estimate-centroid-mc",
+         "--seed", "1", "--samples", "0"],
+        ["polytope", "--kind", "rep", "--estimate-centroid-mc",
+         "--seed", "1", "--samples", "-5"],
+        ["polytope", "--kind", "weight", "--estimate-centroid-mc",
+         "--seed", "-1"],
+        ["intreps", "--total", "0"],
+        ["intreps", "--total", "-4", "--with-quota"],
+        ["intreps", "--convergence", "5,3"],
+        ["intreps", "--convergence", "0,3"],
+    ],
+    ids=[
+        "zero-samples", "negative-samples", "negative-seed", "zero-total",
+        "negative-total", "descending-totals", "zero-in-totals",
+    ],
+)
+def test_malformed_numeric_option_exits_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerpoly.cli", *argv, "--game", "[3;2,1,1]"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+# Runs main() on each argv of a JSON list in a fresh interpreter (pytest
+# itself has numpy loaded) and prints whether numpy got imported.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import powerpoly, powerpoly.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert powerpoly.cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def numpy_loaded_after(*calls):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout == "True\n"
+
+
+def test_exact_calls_run_without_numpy():
+    game = ["--game", "[3;2,1,1]"]
+    calls = [
+        ["index", "--kind", kind, *flags, *game]
+        for kind in ("ssi", "avg-weight", "avg-rep")
+        for flags in ([], ["--json"], ["--axioms"], ["--dummy-revealing"])
+    ]
+    calls += [["table"], ["table", "--json"]]
+    calls += [
+        ["polytope", "--kind", kind, *flags, *game]
+        for kind in ("weight", "rep")
+        for flags in ([], ["--vertices", "--volume", "--moments"], ["--json"])
+    ]
+    assert not numpy_loaded_after(*calls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intreps", "--total", "10"],
+        ["polytope", "--kind", "weight", "--estimate-centroid-mc",
+         "--samples", "1000", "--seed", "1"],
+    ],
+    ids=["grid-scan", "mc-estimate"],
+)
+def test_numeric_calls_load_numpy(argv):
+    # the converse of the above, so that guard is known to see numpy
+    assert numpy_loaded_after([*argv, "--game", "[3;2,1,1]"])
+
+
 def test_installed_entry_point():
     """The ``python -m powerpoly.cli`` module run."""
     proc = subprocess.run(
