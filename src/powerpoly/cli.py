@@ -205,10 +205,6 @@ def _cmd_intreps(args) -> int:
             ) from None
         if not totals:
             raise GameFormatError("empty totals list")
-        if totals[0] < 1:
-            raise GameFormatError("totals must be positive")
-        if any(b <= a for a, b in zip(totals, totals[1:])):
-            raise GameFormatError("totals must be strictly ascending")
         table = convergence_experiment(game, totals, with_quota=args.with_quota)
         if args.json:
             _emit_json(
@@ -252,8 +248,6 @@ def _cmd_intreps(args) -> int:
         return 0
     if args.total is None:
         raise GameFormatError("either --total or --convergence is required")
-    if args.total < 1:
-        raise GameFormatError("--total must be positive")
     scan = (
         enumerate_integer_representations
         if args.with_quota

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .game_core import WeightedGame, l1_distance
+from .game_core import GameFormatError, WeightedGame, l1_distance
 from .indices import (
     MAX_GRID_POINTS,
     MAX_GRID_VOTERS,
@@ -89,7 +89,7 @@ def _structure_matrices(game: WeightedGame) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_scale(game: WeightedGame, total: int) -> None:
     if total < 1:
-        raise ValueError("total must be positive")
+        raise GameFormatError("total must be positive")
     if game.n > MAX_GRID_VOTERS:
         raise ScaleExceededError(
             f"integer grid scans support at most {MAX_GRID_VOTERS} voters"
@@ -217,7 +217,9 @@ def convergence_experiment(
     if not totals:
         raise ValueError("at least one total is required")
     if any(b <= a for a, b in zip(totals, totals[1:])):
-        raise ValueError("totals must be strictly ascending")
+        raise GameFormatError("totals must be strictly ascending")
+    if totals[0] < 1:
+        raise GameFormatError("totals must be positive")
     limit = (
         average_representation_index(game)
         if with_quota

@@ -107,9 +107,8 @@ class HPolytope:
     """Bounded intersection of closed halfspaces in Q^dim.
 
     Instances are immutable once built; derived data (integer rows,
-    vertices, triangulations, volume, moments, the Monte Carlo bounding
-    box and simplex block) is computed on demand and memoized on the
-    instance.
+    vertices, triangulations, volume, moments) is computed on demand and
+    memoized on the instance.
     """
 
     __slots__ = ("dim", "constraints", "_cache")
@@ -727,8 +726,7 @@ def estimate_centroid_mc(
     float rows tested all come from the polytope's integer rows. A float
     row is the integer row when that is the constraint itself, and the
     constraint's coefficients rounded as float(Fraction) rounds them
-    otherwise. Box and block are memoized on the polytope, so further
-    estimates of it (another seed or sample count) skip them.
+    otherwise.
 
     Each batch draws its box coordinates first, then goes through its
     points COLUMN_CHUNK at a time: a chunk draws its simplex block (the
@@ -758,11 +756,10 @@ def estimate_centroid_mc(
     if d == 0:
         return (), ()
     rows, scales = _rows(poly)
-    if "proposal" not in poly._cache:
-        poly._cache["proposal"] = _bounding_box(d, rows), _simplex_block(rows)
-    box, (block, scale) = poly._cache["proposal"]
+    box = _bounding_box(d, rows)
     if any(l > h for l, h in box):
         raise EstimateInconclusiveError("bounding box is empty")
+    block, scale = _simplex_block(rows)
     free = [i for i in range(d) if i not in block]
     lo = np.array([float(box[i][0]) for i in free])
     hi = np.array([float(box[i][1]) for i in free])

@@ -442,15 +442,10 @@ class TestPrecision:
         "negative-total", "descending-totals", "zero-in-totals",
     ],
 )
-def test_malformed_numeric_option_exits_2(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "powerpoly.cli", *argv, "--game", "[3;2,1,1]"],
-        capture_output=True,
-        text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+def test_malformed_numeric_option_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--game", "[3;2,1,1]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 # Runs main() on each argv of a JSON list in a fresh interpreter (pytest

@@ -7,7 +7,6 @@ from math import lcm
 import numpy as np
 import pytest
 
-from powerpoly import polytope
 from powerpoly.exact_math import RatMatrix, determinant, rank
 from powerpoly.game_core import parse_game
 from powerpoly.polytope import (
@@ -371,25 +370,6 @@ class TestMonteCarlo:
         first = estimate_centroid_mc(poly, 50_000, seed=9)
         second = estimate_centroid_mc(poly, 50_000, seed=9)
         assert first == second
-
-    @pytest.mark.parametrize(
-        "build", [build_weight_polytope, build_representation_polytope]
-    )
-    def test_later_estimates_reuse_box_and_block(self, build, monkeypatch):
-        game = parse_game("[3;2,1,1]")
-        poly = build(game)
-        estimate_centroid_mc(poly, 5_000, seed=1)
-        calls = []
-        for name in ("_bounding_box", "_simplex_block"):
-            real = getattr(polytope, name)
-            monkeypatch.setattr(
-                polytope, name,
-                lambda *args, name=name, real=real: calls.append(name) or real(*args),
-            )
-        again = estimate_centroid_mc(poly, 7_000, seed=2)
-        assert calls == []
-        assert again == estimate_centroid_mc(build(game), 7_000, seed=2)
-        assert calls == ["_bounding_box", "_simplex_block"]
 
     def test_zero_dimensional_estimate_is_empty(self):
         poly = HPolytope(0, [])
