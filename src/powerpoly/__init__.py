@@ -51,8 +51,10 @@ from .integer_reps import (
     ConvergenceTable,
     GridSummary,
     convergence_experiment,
+    convergence_to_json,
     enumerate_integer_feasible_weights,
     enumerate_integer_representations,
+    grid_summary_to_json,
 )
 from .polytope import (
     Constraint,

@@ -33,8 +33,10 @@ from .indices import (
 )
 from .integer_reps import (
     convergence_experiment,
+    convergence_to_json,
     enumerate_integer_feasible_weights,
     enumerate_integer_representations,
+    grid_summary_to_json,
 )
 from .polytope import (
     EstimateInconclusiveError,
@@ -182,17 +184,6 @@ def _cmd_polytope(args) -> int:
     return 0
 
 
-def _intreps_doc(game, summary, precision) -> dict:
-    return {
-        "game": game.to_spec(),
-        "total": summary.total,
-        "with_quota": summary.with_quota,
-        "count": summary.count,
-        "average": [str(v) for v in summary.average],
-        "decimals": [decimal_str(v, precision) for v in summary.average],
-    }
-
-
 def _cmd_intreps(args) -> int:
     game = parse_game(args.game)
     precision = _precision(args)
@@ -203,28 +194,9 @@ def _cmd_intreps(args) -> int:
             raise GameFormatError(
                 f"bad totals list: {args.convergence!r}"
             ) from None
-        if not totals:
-            raise GameFormatError("empty totals list")
         table = convergence_experiment(game, totals, with_quota=args.with_quota)
         if args.json:
-            _emit_json(
-                {
-                    "game": game.to_spec(),
-                    "with_quota": args.with_quota,
-                    "rows": [
-                        {
-                            **_intreps_doc(game, row.summary, precision),
-                            "l1_to_limit": (
-                                None
-                                if row.l1_to_limit is None
-                                else str(row.l1_to_limit)
-                            ),
-                        }
-                        for row in table.rows
-                    ],
-                    "limit": index_to_json(game, table.limit, None, precision),
-                }
-            )
+            _emit_json(convergence_to_json(game, table, precision))
             return 0
         header = ["total", "count"]
         header += [f"avg_{i}" for i in range(1, game.n + 1)]
@@ -255,7 +227,7 @@ def _cmd_intreps(args) -> int:
     )
     summary = scan(game, args.total)
     if args.json:
-        _emit_json(_intreps_doc(game, summary, precision))
+        _emit_json(grid_summary_to_json(game, summary, precision))
         return 0
     print(f"count: {summary.count}")
     if summary.count:

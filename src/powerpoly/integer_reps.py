@@ -7,30 +7,41 @@ additionally counting the admissible integer quotas per vector
 approximates the average representation index. Counts and sums are exact
 integers throughout.
 
-The scan runs on blocks of at most CHUNK compositions, one per column,
-so its memory does not grow with the grid. Each block tests all its
-compositions with one pair of matrix products against the minimal
-winning and maximal losing coalitions, and adds its weighted column sums
-with one more. The scan functions import numpy themselves, so importing
-this module does not load it; the first scan in a process pays that
-import.
+The scan does not visit the compositions one by one. It splits each
+into a head, the first n-2 weights, and a tail (t, r - t), where r is
+what the head leaves of the total. Along a tail every coalition weight
+is a line in t with slope -1, 0 or 1, so the gap between the lightest
+minimal winning and the heaviest maximal losing coalition is concave:
+the minimum of at most five lines with slopes -2..2. The feasible t
+(gap at least 1) form an interval, and so do the t where each line is
+the minimum. Over such an interval the count, the quota count (the sum
+of the gap) and the weight sums are sums of 1, t and t**2, which have
+closed forms. So each head costs one pass, whatever its tail's length.
+Heads run in blocks of at most CHUNK, one per column, so memory grows
+with the number of heads, not with the grid. The scan functions import
+numpy themselves, so importing this module does not load it; the first
+scan in a process pays that import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
+from .exact_math import decimal_str
 from .game_core import GameFormatError, WeightedGame, l1_distance
 from .indices import (
+    KIND_AVG_REP,
     MAX_GRID_POINTS,
     MAX_GRID_VOTERS,
     IndexVector,
     ScaleExceededError,
     average_representation_index,
     average_weight_index,
+    index_to_json,
 )
 
 if TYPE_CHECKING:
@@ -41,11 +52,13 @@ __all__ = [
     "ConvergenceTable",
     "GridSummary",
     "convergence_experiment",
+    "convergence_to_json",
     "enumerate_integer_feasible_weights",
     "enumerate_integer_representations",
+    "grid_summary_to_json",
 ]
 
-CHUNK = 1 << 13  # compositions per block
+CHUNK = 1 << 13  # heads per block
 
 
 @dataclass(frozen=True)
@@ -117,66 +130,119 @@ def _prefixes(width: int, total: int) -> np.ndarray:
     return rows
 
 
-def _blocks(n: int, total: int, dtype):
-    """Compositions of total into n parts in lex order, as n x CHUNK blocks.
+def _series(lo, hi):
+    """Sums of 1, t and t**2 over t = lo..hi, elementwise (lo <= hi + 1)."""
+    up, down = hi * (hi + 1), (lo - 1) * lo
+    return (
+        hi - lo + 1,
+        (up - down) // 2,
+        (up * (2 * hi + 1) - down * (2 * lo - 1)) // 6,
+    )
 
-    Each block holds one composition per column. Scan row g is
-    (head, t, r - t): head is the length n-2 prefix that owns g,
-    r = total - sum(head) and t runs from 0 to r. One block can take
-    many short tails or cut a long one into ranges.
+
+def _int64_holds(total: int) -> bool:
+    """Whether a scan of this total runs in int64 rather than Python ints.
+
+    Per head, the sums of t and t**2, their products with a gap line and
+    the running sums over the pieces stay under 3 * (total + 1)**3; a
+    block adds up at most CHUNK heads' weighted counts of at most
+    (total + 1)**3 each. So int64 holds every total below 65,535, which
+    covers every n >= 3 grid MAX_GRID_POINTS admits; larger totals, at
+    n = 2 with its one head, run on Python ints throughout.
     """
-    import numpy as np
-
-    if n == 1:
-        yield np.full((1, 1), total, dtype=dtype)
-        return
-    heads = _prefixes(n - 2, total)
-    rest = total - heads.sum(axis=1)
-    ends = np.cumsum(rest + 1)
-    starts = ends - rest - 1
-    heads = heads.T.copy()
-    size = int(ends[-1])
-    for g0 in range(0, size, CHUNK):
-        g1 = min(g0 + CHUNK, size)
-        p0 = int(np.searchsorted(ends, g0, side="right"))
-        p1 = int(np.searchsorted(ends, g1 - 1, side="right")) + 1
-        counts = np.minimum(ends[p0:p1], g1) - np.maximum(starts[p0:p1], g0)
-        t = np.arange(g0, g1, dtype=np.int64) - np.repeat(starts[p0:p1], counts)
-        block = np.empty((n, g1 - g0), dtype=dtype)
-        block[: n - 2] = np.repeat(heads[:, p0:p1], counts, axis=1)
-        block[n - 2] = t
-        block[n - 1] = np.repeat(rest[p0:p1], counts) - t
-        yield block
+    return CHUNK * (total + 1) ** 3 < 1 << 61
 
 
 def _grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:
     import numpy as np
 
     n = game.n
-    win_mat, lose_mat = _structure_matrices(game)
-    # A column adds at most total * total to a sum (a weight times its
-    # quota count), so CHUNK columns stay inside int64 up to a total of
-    # about 3.3e7, which covers every n >= 2 grid MAX_GRID_POINTS admits.
-    # Coalition weights are at most the total, so below that they are
-    # exact in float64 too, where BLAS computes them. Larger totals run
-    # on Python ints throughout.
-    if CHUNK * total * total < 1 << 63:
+    if n == 1:
+        # the lone voter wins alone and the empty coalition loses, so the
+        # one vector (total,) admits every quota from 1 to the total
+        return GridSummary(
+            total, total if with_quota else 1, (Fraction(1),), with_quota
+        )
+    if _int64_holds(total):
+        # coalition weights are at most the total, so they are exact in
+        # float64 too, where BLAS computes them
         dtype, weigh = np.int64, np.float64
     else:
         dtype, weigh = object, object
-    win_mat = win_mat.astype(weigh)
-    lose_mat = lose_mat.astype(weigh)
+    # row i < n-2 of x is weight i, the last row is the rest r of the total
+    heads = _prefixes(n - 2, total).T
+    x_all = np.vstack([heads, total - heads.sum(axis=0)])
+    cols = [*range(n - 2), n - 1]
+
+    def by_slope(mat):
+        # along the tail (t, r - t) a coalition weighs its row of x plus
+        # t times its slope, bit n-2 minus bit n-1
+        slope = mat[:, n - 2] - mat[:, n - 1]
+        return {
+            s: mat[slope == s][:, cols].astype(weigh)
+            for s in (-1, 0, 1)
+            if (slope == s).any()
+        }
+
+    win, lose = map(by_slope, _structure_matrices(game))
     count = 0
     sums = [0] * n
-    for block in _blocks(n, total, dtype):
-        # a vector is feasible iff its lightest minimal winning coalition
-        # strictly outweighs its heaviest maximal losing one; with quota
-        # it has one admissible integer quota per unit of the gap
-        x = block.astype(weigh)
-        gap = (win_mat @ x).min(axis=0) - (lose_mat @ x).max(axis=0)
-        mult = (np.maximum(gap, 0) if with_quota else gap > 0).astype(dtype)
-        count += int(mult.sum())
-        sums = [s + int(v) for s, v in zip(sums, block @ mult)]
+    for c0 in range(0, x_all.shape[1], CHUNK):
+        x = x_all[:, c0 : c0 + CHUNK].astype(dtype)
+        xw = x.astype(weigh)
+        lightest = {s: (m @ xw).min(axis=0) for s, m in win.items()}
+        heaviest = {s: (m @ xw).max(axis=0) for s, m in lose.items()}
+        # the gap between them is concave in t: the minimum over k of the
+        # lines g[k] + k t, k a winning slope minus a losing one
+        g: dict = {}
+        for s, a in lightest.items():
+            for u, b in heaviest.items():
+                d = (a - b).astype(dtype)
+                g[s - u] = np.minimum(g[s - u], d) if s - u in g else d
+        # the feasible t: those in [0, r] where every line is at least 1
+        lo = np.zeros_like(x[-1])
+        hi = x[-1]
+        for k, gk in g.items():
+            if k > 0:
+                lo = np.maximum(lo, (k - gk) // k)
+            elif k < 0:
+                hi = np.minimum(hi, (gk - 1) // -k)
+            else:
+                hi = np.where(gk >= 1, hi, -1)
+        if not with_quota:
+            hi = np.maximum(hi, lo - 1)
+            mass, moment, _ = _series(lo, hi)
+        else:
+            # the pieces below are most of a block's work, so they skip
+            # heads without a feasible t
+            keep = lo <= hi
+            x, lo, hi = x[:, keep], lo[keep], hi[keep]
+            g = {k: gk[keep] for k, gk in g.items()}
+            # line k lies at or below line j < k exactly for t <= cut[j, k]
+            cut = {
+                (j, k): (g[j] - g[k]) // (k - j)
+                for j, k in combinations(sorted(g), 2)
+            }
+            mass = moment = 0  # per head: sums of mult(t) and t * mult(t)
+            for k, gk in g.items():
+                # the feasible t where line k is the gap, ties going to
+                # the larger slope; there are g[k] + k t admissible quotas
+                a, b = lo, hi
+                for j in g:
+                    if j < k:
+                        b = np.minimum(b, cut[j, k])
+                    elif j > k:
+                        a = np.maximum(a, cut[k, j] + 1)
+                a = np.minimum(a, hi + 1)
+                s0, s1, s2 = _series(a, np.maximum(b, a - 1))
+                mass = mass + gk * s0 + k * s1
+                moment = moment + gk * s1 + k * s2
+        # weights 0..n-3 are the head's, weight n-2 is t, weight n-1 is r - t
+        weighted = [int(v) for v in (x * mass).sum(axis=1)]
+        tail = int(moment.sum())
+        count += int(mass.sum())
+        block = weighted[:-1] + [tail, weighted[-1] - tail]
+        sums = [s + v for s, v in zip(sums, block)]
 
     if count == 0:
         return GridSummary(total, 0, (), with_quota)
@@ -212,14 +278,18 @@ def convergence_experiment(
 
     The limit is the average weight index, or the average representation
     index when `with_quota` is set. Each row reports the l1 distance of
-    its grid average to the limit (None when the grid was empty).
+    its grid average to the limit (None when the grid was empty). Every
+    total is checked against the grid scale before the limit or any scan
+    is computed.
     """
     if not totals:
-        raise ValueError("at least one total is required")
+        raise GameFormatError("empty totals list")
     if any(b <= a for a, b in zip(totals, totals[1:])):
         raise GameFormatError("totals must be strictly ascending")
     if totals[0] < 1:
         raise GameFormatError("totals must be positive")
+    for total in totals:
+        _check_scale(game, int(total))
     limit = (
         average_representation_index(game)
         if with_quota
@@ -227,7 +297,6 @@ def convergence_experiment(
     )
     rows = []
     for total in totals:
-        _check_scale(game, int(total))
         summary = _grid_scan(game, int(total), with_quota)
         dist = (
             l1_distance(summary.average, limit.values)
@@ -236,3 +305,37 @@ def convergence_experiment(
         )
         rows.append(ConvergenceRow(summary, dist))
     return ConvergenceTable(tuple(rows), limit)
+
+
+def grid_summary_to_json(
+    game: WeightedGame, summary: GridSummary, precision: int = 6
+) -> dict:
+    """JSON document for a grid summary: p/q strings plus decimals."""
+    return {
+        "game": game.to_spec(),
+        "total": summary.total,
+        "with_quota": summary.with_quota,
+        "count": summary.count,
+        "average": [str(v) for v in summary.average],
+        "decimals": [decimal_str(v, precision) for v in summary.average],
+    }
+
+
+def convergence_to_json(
+    game: WeightedGame, table: ConvergenceTable, precision: int = 6
+) -> dict:
+    """JSON document for a convergence table: one grid document per row."""
+    return {
+        "game": game.to_spec(),
+        "with_quota": table.limit.kind == KIND_AVG_REP,
+        "rows": [
+            {
+                **grid_summary_to_json(game, row.summary, precision),
+                "l1_to_limit": (
+                    None if row.l1_to_limit is None else str(row.l1_to_limit)
+                ),
+            }
+            for row in table.rows
+        ],
+        "limit": index_to_json(game, table.limit, None, precision),
+    }

@@ -1,4 +1,4 @@
-"""Blocked grid scans, integer bounding boxes and row-block rejection.
+"""Closed-form grid scans, integer bounding boxes and row-block rejection.
 
 Each must return exactly what the reference in approx_oracle.py returns:
 equal grid summaries, equal boxes, and equal Monte Carlo estimate tuples
@@ -8,6 +8,7 @@ inputs cross many block boundaries.
 
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from powerpoly import integer_reps, polytope
 from powerpoly.game_core import parse_game
+from powerpoly.indices import MAX_GRID_POINTS
 from powerpoly.integer_reps import _grid_scan
 from powerpoly.polytope import (
     Constraint,
@@ -225,7 +227,7 @@ def test_grid_scans_up_to_total_sixty(spec, with_quota):
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
 @pytest.mark.parametrize("spec", GRID_GAMES)
 def test_grid_scans_across_small_blocks(monkeypatch, spec, chunk):
-    # blocks that cut through tails and span several prefixes
+    # blocks of a few heads, so one scan's heads span many blocks
     monkeypatch.setattr(integer_reps, "CHUNK", chunk)
     game = parse_game(spec)
     for total in (1, 5, 17):
@@ -237,8 +239,10 @@ def test_grid_scans_across_small_blocks(monkeypatch, spec, chunk):
 
 @pytest.mark.parametrize("spec", GRID_GAMES)
 def test_grid_scans_on_python_ints(monkeypatch, spec):
-    # CHUNK * total**2 past 2**63 switches the scan from int64 to Python ints
+    # CHUNK * (total + 1)**3 past 2**61 switches the scan from int64 to
+    # Python ints
     monkeypatch.setattr(integer_reps, "CHUNK", 1 << 62)
+    assert not integer_reps._int64_holds(1)
     game = parse_game(spec)
     for total in (1, 5, 17):
         for with_quota in (False, True):
@@ -247,20 +251,50 @@ def test_grid_scans_on_python_ints(monkeypatch, spec):
             ), total
 
 
+# the first total a scan runs on Python ints at the default CHUNK
+PYTHON_INT_TOTAL = 65_535
+
+
 @pytest.mark.parametrize("offset", [-2, -1, 0, 1, integer_reps.CHUNK + 1])
 def test_two_voter_tails_around_the_block_size(offset):
-    # at n = 2 the only tail is split into CHUNK-sized ranges
+    # n = 2 has one head, whose tail is the whole grid; the offsets
+    # straddle the int64 -> Python-int switch, the last lies well past it
+    assert integer_reps._int64_holds(PYTHON_INT_TOTAL - 1)
+    assert not integer_reps._int64_holds(PYTHON_INT_TOTAL)
     game = parse_game("[2;2,1]")
-    total = integer_reps.CHUNK + offset
+    total = PYTHON_INT_TOTAL + offset
     for with_quota in (False, True):
         assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
             game, total, with_quota
         )
 
 
+@pytest.mark.parametrize("with_quota", [False, True])
+def test_grid_scans_at_the_largest_three_voter_total(with_quota):
+    # the gap along each tail has all five slopes -2..2 in this game
+    total = 6_323
+    assert comb(total + 2, 2) <= MAX_GRID_POINTS < comb(total + 3, 2)
+    game = parse_game("[2;1,1,1]")
+    assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+        game, total, with_quota
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_games(), st.integers(1, 30), st.booleans())
 def test_grid_scans_on_drawn_games(game, total, with_quota):
+    assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+        game, total, with_quota
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    small_games().filter(lambda game: game.n <= 4),
+    st.integers(1, 200),
+    st.booleans(),
+)
+def test_grid_scans_on_drawn_games_up_to_total_200(game, total, with_quota):
     assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
         game, total, with_quota
     )

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,11 +15,12 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
-from powerpoly import cli
+from powerpoly import cli, integer_reps
 from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
 from powerpoly.indices import MAX_POLYTOPE_ROWS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def run(capsys, *argv):
@@ -352,6 +354,29 @@ class TestIntrepsCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("quota", [[], ["--with-quota"]])
+    def test_convergence_refuses_before_the_exact_limit(
+        self, capsys, monkeypatch, quota
+    ):
+        def refuse(game):
+            raise AssertionError("exact limit computed")
+
+        monkeypatch.setattr(integer_reps, "average_weight_index", refuse)
+        monkeypatch.setattr(integer_reps, "average_representation_index", refuse)
+        code, out, err = run(
+            capsys,
+            "intreps", "--convergence", "10,20", *quota,
+            "--game", "[18;8,7,6,5,4,3,2,1]",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: integer grid scans support at most 5 voters\n"
+
+    def test_empty_totals_list(self, capsys):
+        code, out, err = run(
+            capsys, "intreps", "--convergence", ",", "--game", "[2;1,1,1]"
+        )
+        assert (code, out, err) == (2, "", "error: empty totals list\n")
+
 
 class TestTableCommand:
     def test_two_voter_rows(self, capsys):
@@ -484,6 +509,33 @@ def test_exact_calls_run_without_numpy():
         for flags in ([], ["--vertices", "--volume", "--moments"], ["--json"])
     ]
     assert not numpy_loaded_after(*calls)
+
+
+def readme_examples():
+    """(argv, shown stdout) for every `$ powerpoly ...` example in README."""
+    lines = README.read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ powerpoly "):
+            shown = []
+            for out in lines[i + 1 :]:
+                if not out or out.startswith(("$ ", "```")):
+                    break
+                shown.append(out + "\n")
+            examples.append((shlex.split(line)[2:], "".join(shown)))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv,shown",
+    README_EXAMPLES,
+    ids=[" ".join(argv) for argv, _ in README_EXAMPLES],
+)
+def test_readme_examples(capsys, argv, shown):
+    assert run(capsys, *argv) == (0, shown, "")
 
 
 @pytest.mark.parametrize(

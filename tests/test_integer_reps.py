@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from powerpoly import (
+    GameFormatError,
     ScaleExceededError,
     convergence_experiment,
     enumerate_integer_feasible_weights,
     enumerate_integer_representations,
+    integer_reps,
     is_representation,
     parse_game,
 )
@@ -46,6 +48,15 @@ def brute_grid(game, total, with_quota):
         tuple(Fraction(s, count * total) for s in sums) if count else ()
     )
     return count, average
+
+
+def power_sums(lo, hi):
+    """Sums of 1, t and t**2 over t = lo..hi, in Python ints."""
+
+    def upto(x):
+        return x + 1, x * (x + 1) // 2, x * (x + 1) * (2 * x + 1) // 6
+
+    return tuple(a - b for a, b in zip(upto(hi), upto(lo - 1)))
 
 
 class TestFeasibleWeightCounts:
@@ -105,6 +116,28 @@ class TestRepresentationCounts:
         s = enumerate_integer_representations(parse_game("[2;1,1]"), total)
         assert s.count == (total * total - 1) // 4
         assert s.average == (Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("total", [19_999_998, 19_999_999])
+    def test_largest_two_voter_totals_for_a_dictator(self, total):
+        # [1;1,0] on (t, total - t): the gap is 2t - total, so the feasible
+        # t are those above total / 2, each with 2t - total quotas
+        game = parse_game("[1;1,0]")
+        s0, s1, s2 = power_sums(total // 2 + 1, total)
+
+        def average(count, first_sum):
+            return (
+                Fraction(first_sum, count * total),
+                Fraction(total * count - first_sum, count * total),
+            )
+
+        s = enumerate_integer_feasible_weights(game, total)
+        assert (s.count, s.average) == (s0, average(s0, s1))
+        count = 2 * s1 - total * s0
+        s = enumerate_integer_representations(game, total)
+        assert (s.count, s.average) == (
+            count,
+            average(count, 2 * s2 - total * s1),
+        )
 
     def test_single_voter_beyond_int64(self):
         total = 10**30
@@ -187,12 +220,43 @@ class TestConvergence:
         assert table.rows[0].l1_to_limit is None
 
     def test_rejects_empty_totals(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GameFormatError, match="^empty totals list$"):
             convergence_experiment(parse_game("[3;2,1,1]"), ())
 
     def test_rejects_non_ascending_totals(self):
         with pytest.raises(ValueError):
             convergence_experiment(parse_game("[3;2,1,1]"), (100, 100))
+
+
+class TestConvergenceScale:
+    """Every total is checked before the exact limit or any scan runs."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed before the scale check")
+
+        for name in (
+            "average_weight_index",
+            "average_representation_index",
+            "_grid_scan",
+        ):
+            monkeypatch.setattr(integer_reps, name, refuse)
+
+    @pytest.mark.parametrize("with_quota", [False, True])
+    @pytest.mark.parametrize(
+        "spec", ["[18;8,7,6,5,4,3,2,1]", "[20;9,8,7,6,5,4,3,2,1]"]
+    )
+    def test_too_many_voters(self, spec, with_quota):
+        with pytest.raises(ScaleExceededError, match="at most 5 voters"):
+            convergence_experiment(parse_game(spec), (10, 20), with_quota)
+
+    @pytest.mark.parametrize("with_quota", [False, True])
+    def test_oversized_last_total(self, with_quota):
+        with pytest.raises(ScaleExceededError, match="grid for total 200"):
+            convergence_experiment(
+                parse_game("[8;5,3,2,2,1]"), (10, 20, 200), with_quota
+            )
 
 
 class TestScaleLimits:
