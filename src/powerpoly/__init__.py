@@ -7,13 +7,7 @@ paths run on arbitrary-precision rationals.
 """
 
 from .canonical_games import CANONICAL_GAMES, canonical_games
-from .exact_math import (
-    RatMatrix,
-    decimal_str,
-    determinant,
-    parse_rational,
-    rank,
-)
+from .exact_math import decimal_str, parse_rational
 from .game_core import (
     Coalition,
     GameFormatError,

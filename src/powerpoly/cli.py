@@ -55,7 +55,8 @@ PRECISION_ENV = "POWERPOLY_PRECISION"
 
 
 def _precision(args) -> int:
-    if getattr(args, "precision", None) is not None:
+    """Output precision: --precision, else $POWERPOLY_PRECISION, else 6."""
+    if args.precision is not None:
         if args.precision < 0:
             raise GameFormatError("precision must be nonnegative")
         return args.precision
@@ -101,7 +102,7 @@ def _cmd_index(args) -> int:
         index = _BASE_INDICES[args.kind](game)
     axioms = check_axioms(game, index) if args.axioms else None
     if args.json:
-        _emit_json(index_to_json(game, index, axioms, _precision(args)))
+        _emit_json(index_to_json(game, index, axioms, args.precision))
         return 0
     print(_values_line(index.values))
     if index.avg_quota is not None:
@@ -158,7 +159,6 @@ def _cmd_polytope(args) -> int:
             doc["seed"] = args.seed
         _emit_json(doc)
         return 0
-    precision = _precision(args)
     printed = False
     if args.vertices:
         verts = enumerate_vertices(poly)
@@ -172,8 +172,9 @@ def _cmd_polytope(args) -> int:
         printed = True
     if args.estimate_centroid_mc:
         est, err = estimate_centroid_mc(poly, args.samples, args.seed)
-        print("mc centroid: " + " ".join(f"{v:.{precision}f}" for v in est))
-        print("mc stderr: " + " ".join(f"{v:.{precision}f}" for v in err))
+        places = args.precision
+        print("mc centroid: " + " ".join(f"{v:.{places}f}" for v in est))
+        print("mc stderr: " + " ".join(f"{v:.{places}f}" for v in err))
         printed = True
     if not printed:
         verts = enumerate_vertices(poly)
@@ -186,7 +187,6 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_intreps(args) -> int:
     game = parse_game(args.game)
-    precision = _precision(args)
     if args.convergence:
         try:
             totals = [int(tok) for tok in args.convergence.split(",") if tok.strip()]
@@ -196,7 +196,7 @@ def _cmd_intreps(args) -> int:
             ) from None
         table = convergence_experiment(game, totals, with_quota=args.with_quota)
         if args.json:
-            _emit_json(convergence_to_json(game, table, precision))
+            _emit_json(convergence_to_json(game, table, args.precision))
             return 0
         header = ["total", "count"]
         header += [f"avg_{i}" for i in range(1, game.n + 1)]
@@ -206,12 +206,12 @@ def _cmd_intreps(args) -> int:
             cells = [str(row.summary.total), str(row.summary.count)]
             if row.summary.count:
                 cells += [
-                    decimal_str(v, precision) for v in row.summary.average
+                    decimal_str(v, args.precision) for v in row.summary.average
                 ]
             else:
                 cells += [""] * game.n
             cells.append(
-                decimal_str(row.l1_to_limit, precision)
+                decimal_str(row.l1_to_limit, args.precision)
                 if row.l1_to_limit is not None
                 else ""
             )
@@ -227,14 +227,14 @@ def _cmd_intreps(args) -> int:
     )
     summary = scan(game, args.total)
     if args.json:
-        _emit_json(grid_summary_to_json(game, summary, precision))
+        _emit_json(grid_summary_to_json(game, summary, args.precision))
         return 0
     print(f"count: {summary.count}")
     if summary.count:
         print(f"average: {_values_line(summary.average)}")
         print(
             "decimals: "
-            + " ".join(decimal_str(v, precision) for v in summary.average)
+            + " ".join(decimal_str(v, args.precision) for v in summary.average)
         )
     return 0
 
@@ -253,7 +253,6 @@ def _cmd_table(args) -> int:
             file=sys.stderr,
         )
         return 3
-    precision = _precision(args)
     rows = []
     for spec in canonical_games(args.max_voters):
         game = parse_game(spec)
@@ -267,8 +266,8 @@ def _cmd_table(args) -> int:
                 "rows": [
                     {
                         "game": spec,
-                        "avg_weight": _table_doc(game, aw, precision),
-                        "avg_rep": _table_doc(game, ar, precision),
+                        "avg_weight": _table_doc(game, aw, args.precision),
+                        "avg_rep": _table_doc(game, ar, args.precision),
                     }
                     for spec, game, aw, ar in rows
                 ],
@@ -349,6 +348,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        args.precision = _precision(args)
         return args.func(args)
     except GameFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

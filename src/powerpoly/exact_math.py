@@ -1,32 +1,23 @@
-"""Exact rational arithmetic and small dense linear algebra.
+"""Exact rationals: the literal parser, decimal rendering, one kernel.
 
 Every number that crosses the API of this package's exact paths is a
 `fractions.Fraction`: arbitrary precision, always in lowest terms, never
 rounded. Text becomes one only through `parse_rational`, which game specs
 use too, so "p" and "p/q" are the one literal grammar throughout.
-Inside, the linear algebra runs on integers. Each rational row is
-scaled to integers and one fraction-free elimination kernel (Bareiss 1968)
-gives both determinants and ranks; its divisions are exact, so no
-intermediate value needs a gcd. Matrices are small and dense, so plain
-elimination with exact zero tests beats anything fancier.
+Inside, the linear algebra runs on integers and there is no matrix type:
+callers hand plain lists of integer rows to `bareiss`, the one
+fraction-free elimination kernel (Bareiss 1968), which gives both rank
+and determinant. Its divisions are exact, so no intermediate value needs
+a gcd. Matrices are small and dense, so plain elimination with exact
+zero tests beats anything fancier.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable
 
-__all__ = [
-    "RatMatrix",
-    "bareiss",
-    "decimal_str",
-    "determinant",
-    "parse_rational",
-    "rank",
-]
+__all__ = ["bareiss", "decimal_str", "parse_rational"]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -60,31 +51,6 @@ def decimal_str(value: Fraction | int, places: int = 6) -> str:
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense rational matrix, row-major, rectangular."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
 
 def bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -121,28 +87,3 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
         r += 1
     return r, sign * prev
 
-
-def _scaled_rows(a: RatMatrix) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators; returns the product."""
-    rows = []
-    scale = 1
-    for row in a.entries:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return rows, scale
-
-
-def determinant(a: RatMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    d = a.rows
-    if a.cols != d:
-        raise ValueError("matrix is not square")
-    rows, scale = _scaled_rows(a)
-    rnk, det = bareiss(rows)
-    return Fraction(det, scale) if rnk == d else Fraction(0)
-
-
-def rank(a: RatMatrix) -> int:
-    """Row rank over the rationals."""
-    return bareiss(_scaled_rows(a)[0])[0]

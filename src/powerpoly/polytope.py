@@ -17,16 +17,17 @@ rays of the homogenized cone, found by integer double description, and
 their zero sets say which constraints are tight where. The polytope is
 cut into simplices by recursive apex coning over facets read off that
 vertex incidence, with no rank test. Volumes and first moments add up
-integer edge-matrix determinants (Bareiss) over one common denominator,
-so the only Fractions are the final totals. The only floating point in
-this module sits in the Monte Carlo estimator, and only it imports
-numpy, on its first call: building a polytope and every exact stage run
-without numpy loaded. It tests each batch of points in column chunks,
-held coordinate-major with one row per coordinate, so it holds only one
-chunk times ROW_BLOCK slacks and one batch's accepted points at once.
-It draws a simplex block as standard exponentials over their sum
-(bitwise numpy's flat Dirichlet) and tests float copies of the integer
-rows, so its estimates are those of the plain all-rows rejection
+integer determinants (Bareiss) of each cell's homogeneous ray rows
+(x_v, t_v), the rays double description found, over one common
+denominator, so the only Fractions are the final totals. The only
+floating point in this module sits in the Monte Carlo estimator, and
+only it imports numpy, on its first call: building a polytope and every
+exact stage run without numpy loaded. It tests each batch of points in
+column chunks, held coordinate-major with one row per coordinate, so it
+holds only one chunk times ROW_BLOCK slacks and one batch's accepted
+points at once. It draws a simplex block as standard exponentials over
+their sum (bitwise numpy's flat Dirichlet) and tests float copies of the
+integer rows, so its estimates are those of the plain all-rows rejection
 sampler.
 """
 
@@ -39,7 +40,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .exact_math import RatMatrix, bareiss, determinant
+from .exact_math import bareiss
 from .game_core import WeightedGame, coalition_str
 
 if TYPE_CHECKING:
@@ -376,9 +377,10 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
 
     The vertices are the extreme rays (x, t) with t > 0 of the
     homogenized cone over the preprocessed integer rows, found by exact
-    double description. A constraint is active at a vertex when its
-    integer row is a kept row in the ray's zero set, or when it reads
-    0 <= 0.
+    double description; vertex i is x / t for the i-th of the primitive
+    rays kept beside the vertices. A constraint is active at a vertex
+    when its integer row is a kept row in the ray's zero set, or when it
+    reads 0 <= 0.
     """
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
@@ -386,7 +388,7 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     rows = _rows(poly)[0]
     pre = _preprocess(rows)
     rays = None if pre is None else _cone_rays(pre, d)
-    verts: list[Vertex] = []
+    found: list[tuple[Vertex, tuple[int, ...]]] = []
     if rays:
         row_index = {row: j for j, row in enumerate(pre)}
         tight_on: list[list[int]] = [[] for _ in pre]
@@ -407,34 +409,34 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
                     for i in ids
                 ]
                 coords = tuple(Fraction(c, t) for c in ray[:d])
-                verts.append(Vertex(coords, frozenset(active)))
-        verts.sort(key=lambda v: v.coords)
-    poly._cache["vertices"] = verts
-    return verts
+                found.append((Vertex(coords, frozenset(active)), ray))
+        found.sort(key=lambda vr: vr[0].coords)
+    poly._cache["vertices"] = [v for v, _ in found]
+    poly._cache["rays"] = [ray for _, ray in found]
+    return poly._cache["vertices"]
 
 
 # -- triangulation and exact integrals ----------------------------------
 
 def _cone_cells(
-    cols: list[int], face: int, k: int, lexmin: bool, memo: dict
+    cols: list[int], face: int, k: int, memo: dict
 ) -> list[tuple[int, ...]]:
     """Cells of a k-face given as a vertex bitmask, as vertex-index tuples.
 
-    Bit i stands for the i-th vertex in lexicographic order, so the apex
-    is the face's lowest (lexmin) or highest (lexmax) bit. The face's
-    facets are the maximal proper nonempty traces face & col: every facet
-    of a face is its intersection with some constraint's boundary, and
-    every such trace is a face. Facets come in the order of the first
-    constraint that cuts them out.
+    Bit i stands for the i-th vertex in lexicographic order, so the apex,
+    the face's lexicographically smallest vertex, is its lowest bit. The
+    face's facets are the maximal proper nonempty traces face & col:
+    every facet of a face is its intersection with some constraint's
+    boundary, and every such trace is a face. Facets come in the order of
+    the first constraint that cuts them out.
     """
     if face in memo:
         return memo[face]
-    low = (face & -face).bit_length() - 1
-    high = face.bit_length() - 1
+    apex = (face & -face).bit_length() - 1
     if k == 1:
-        cells = [(low, high)] if low != high else []
+        high = face.bit_length() - 1
+        cells = [(apex, high)] if apex != high else []
     else:
-        apex = low if lexmin else high
         traces: dict[int, None] = {}
         for col in cols:
             sub = face & col
@@ -449,17 +451,16 @@ def _cone_cells(
             cell + (apex,)
             for sub in traces
             if sub in facets_set and not sub >> apex & 1
-            for cell in _cone_cells(cols, sub, k - 1, lexmin, memo)
+            for cell in _cone_cells(cols, sub, k - 1, memo)
         ]
     memo[face] = cells
     return cells
 
 
-def _cells(poly: HPolytope, apex_rule: str) -> list[tuple[int, ...]]:
+def _cells(poly: HPolytope) -> list[tuple[int, ...]]:
     """Memoized cells as index tuples into enumerate_vertices(poly)."""
-    key = ("cells", apex_rule)
-    if key in poly._cache:
-        return poly._cache[key]
+    if "cells" in poly._cache:
+        return poly._cache["cells"]
     verts = enumerate_vertices(poly)
     if not verts:
         cells = []
@@ -472,72 +473,55 @@ def _cells(poly: HPolytope, apex_rule: str) -> list[tuple[int, ...]]:
                 incidence[j] = incidence.get(j, 0) | 1 << i
         cols = list(dict.fromkeys(incidence[j] for j in sorted(incidence)))
         full = (1 << len(verts)) - 1
-        cells = _cone_cells(cols, full, poly.dim, apex_rule == "lexmin", {})
-    poly._cache[key] = cells
+        cells = _cone_cells(cols, full, poly.dim, {})
+    poly._cache["cells"] = cells
     return cells
 
 
-def triangulate(poly: HPolytope, apex_rule: str = "lexmin") -> list[Simplex]:
+def triangulate(poly: HPolytope) -> list[Simplex]:
     """Cut the polytope into simplices with pairwise disjoint interiors.
 
-    Recursive facet coning: the apex (lexicographically smallest vertex,
-    or largest under apex_rule="lexmax") is coned over a triangulation of
-    every facet not containing it. Facets are found by vertex incidence
-    alone: within a face, the vertex sets tight on one constraint that
-    are maximal by inclusion. A polytope that is not full-dimensional
-    has no cells, since its recursion runs out of vertices before it
-    reaches the edges.
+    Recursive facet coning: the apex (lexicographically smallest vertex)
+    is coned over a triangulation of every facet not containing it.
+    Facets are found by vertex incidence alone: within a face, the vertex
+    sets tight on one constraint that are maximal by inclusion. A
+    polytope that is not full-dimensional has no cells, since its
+    recursion runs out of vertices before it reaches the edges.
     """
-    if apex_rule not in ("lexmin", "lexmax"):
-        raise ValueError("apex_rule must be 'lexmin' or 'lexmax'")
-    key = ("simplices", apex_rule)
-    if key not in poly._cache:
+    if "simplices" not in poly._cache:
         verts = enumerate_vertices(poly)
-        poly._cache[key] = [
-            Simplex(tuple(verts[i] for i in cell))
-            for cell in _cells(poly, apex_rule)
+        poly._cache["simplices"] = [
+            Simplex(tuple(verts[i] for i in cell)) for cell in _cells(poly)
         ]
-    return poly._cache[key]
-
-
-def _simplex_volume(cell: Simplex) -> Fraction:
-    pts = [v.coords for v in cell.vertices]
-    d = len(pts) - 1
-    if d == 0:
-        return Fraction(1)
-    rows = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
-    return abs(determinant(RatMatrix.from_rows(rows))) / factorial(d)
+    return poly._cache["simplices"]
 
 
 def _integrate(poly: HPolytope) -> None:
     """Cache volume and moments from one pass over the triangulation.
 
-    All vertices are scaled to integer numerators R_v over one common
-    denominator T. A cell's volume is |D| / (d! T^d), where D is the
-    determinant of its integer edge matrix, and the integral of x_i over
-    it is that volume times the vertex average of R_v,i / T. So the pass
-    adds up integers only: |D| into the volume sum and onto a weight per
-    vertex of the cell, the moments being sum_v weight_v R_v,i. A lone
-    vertex (dim 0) is one cell of volume 1.
+    Each vertex v is x_v / t_v for its primitive ray (x_v, t_v) from
+    double description, and T is the lcm of the t_v. With the integer
+    numerators R_v = x_v T / t_v, a cell's volume is |D| / (d! T^d),
+    where D is the determinant of its edge matrix of R_v, and the
+    integral of x_i over it is that volume times the vertex average of
+    R_v,i / T. So the pass adds up integers only: |D| into the volume sum
+    and onto a weight per vertex of the cell, the moments being
+    sum_v weight_v R_v,i. A lone vertex (dim 0) is one cell of volume 1.
 
-    D itself comes from the homogeneous rows (x_v, t_v), x_v / t_v being
-    the vertex over its own denominator: with R_v = x_v T / t_v,
-    D = det(x_v, t_v) * prod(T / t_v) / T. Those rows keep the small
-    entries of the cone's rays, where T grows with every new denominator.
+    D itself is one bareiss determinant of the cell's homogeneous ray
+    rows (x_v, t_v): D = det(x_v, t_v) * prod(T / t_v) / T. Those rows
+    keep the small entries of the rays, where T grows with every new
+    denominator.
     """
     d = poly.dim
-    verts = enumerate_vertices(poly)
-    dens = [lcm(*(c.denominator for c in v.coords)) for v in verts]
-    den = lcm(*dens)
-    rays = [
-        [c.numerator * (t // c.denominator) for c in v.coords] + [t]
-        for v, t in zip(verts, dens)
-    ]
-    lift = [den // t for t in dens]
-    weight = [0] * len(verts)
+    enumerate_vertices(poly)
+    rays = poly._cache["rays"]
+    den = lcm(*(ray[d] for ray in rays))
+    lift = [den // ray[d] for ray in rays]
+    weight = [0] * len(rays)
     total = 0
-    for cell in _cells(poly, "lexmin"):
-        rnk, det = bareiss([rays[i][:] for i in cell])
+    for cell in _cells(poly):
+        rnk, det = bareiss([list(rays[i]) for i in cell])
         if rnk <= d:
             continue
         det = abs(det) * prod(lift[i] for i in cell) // den

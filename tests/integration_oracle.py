@@ -107,12 +107,15 @@ def _simplex_volume(cell: Simplex) -> Fraction:
     return abs(det) / factorial(d) if rnk == d else Fraction(0)
 
 
-def oracle_integrals(poly: HPolytope) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(volume, moments), a Fraction volume and vertex average per cell."""
+def oracle_integrals(
+    poly: HPolytope, apex_rule: str = "lexmin"
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(volume, moments), a Fraction volume and vertex average per cell
+    of the apex_rule triangulation."""
     d = poly.dim
     vol = Fraction(0)
     totals = [Fraction(0)] * d
-    for cell in oracle_triangulate(poly):
+    for cell in oracle_triangulate(poly, apex_rule):
         cell_vol = _simplex_volume(cell)
         if cell_vol == 0:
             continue

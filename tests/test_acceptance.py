@@ -19,7 +19,7 @@ from powerpoly import (
     parse_game,
     shapley_shubik,
 )
-from powerpoly.exact_math import RatMatrix, decimal_str, rank
+from powerpoly.exact_math import decimal_str
 from powerpoly.integer_reps import (
     enumerate_integer_feasible_weights,
     enumerate_integer_representations,
@@ -36,6 +36,7 @@ from powerpoly.polytope import (
 )
 
 from conftest import cached_index, mc_seed
+from integration_oracle import _eliminate, _simplex_volume, oracle_triangulate
 from expected_values import (
     DISTANCE_EXAMPLE,
     GRID_COUNTS,
@@ -212,13 +213,13 @@ def _battery_geometry(game):
                 assert val <= con.b, (kind, game)
                 assert (val == con.b) == (idx in v.active), (kind, game)
             rows = [list(poly.constraints[i].a) for i in sorted(v.active)]
-            assert rank(RatMatrix.from_rows(rows)) == d, (kind, game)
+            assert _eliminate(rows)[0] == d, (kind, game)
         if d == 0:
             continue
-        from powerpoly.polytope import _simplex_volume
-
-        for rule in ("lexmin", "lexmax"):
-            cells = triangulate(poly, apex_rule=rule)
+        for rule, cells in (
+            ("lexmin", triangulate(poly)),
+            ("lexmax", oracle_triangulate(poly, "lexmax")),
+        ):
             assert sum(
                 (_simplex_volume(c) for c in cells), Fraction(0)
             ) == volume(poly), (kind, game, rule)

@@ -449,25 +449,31 @@ class TestPrecision:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, precision_env",
     [
-        ["polytope", "--kind", "weight", "--estimate-centroid-mc",
-         "--seed", "1", "--samples", "0"],
-        ["polytope", "--kind", "rep", "--estimate-centroid-mc",
-         "--seed", "1", "--samples", "-5"],
-        ["polytope", "--kind", "weight", "--estimate-centroid-mc",
-         "--seed", "-1"],
-        ["intreps", "--total", "0"],
-        ["intreps", "--total", "-4", "--with-quota"],
-        ["intreps", "--convergence", "5,3"],
-        ["intreps", "--convergence", "0,3"],
+        (["polytope", "--kind", "weight", "--estimate-centroid-mc",
+          "--seed", "1", "--samples", "0"], None),
+        (["polytope", "--kind", "rep", "--estimate-centroid-mc",
+          "--seed", "1", "--samples", "-5"], None),
+        (["polytope", "--kind", "weight", "--estimate-centroid-mc",
+          "--seed", "-1"], None),
+        (["intreps", "--total", "0"], None),
+        (["intreps", "--total", "-4", "--with-quota"], None),
+        (["intreps", "--convergence", "5,3"], None),
+        (["intreps", "--convergence", "0,3"], None),
+        # plain `index` prints no decimals, but its precision is still checked
+        (["index", "--kind", "ssi", "--precision", "-1"], None),
+        (["index", "--kind", "avg-weight"], "wide"),
     ],
     ids=[
         "zero-samples", "negative-samples", "negative-seed", "zero-total",
         "negative-total", "descending-totals", "zero-in-totals",
+        "index-negative-precision", "index-precision-env",
     ],
 )
-def test_malformed_numeric_option_exits_2(capsys, argv):
+def test_malformed_numeric_option_exits_2(capsys, monkeypatch, argv, precision_env):
+    if precision_env is not None:
+        monkeypatch.setenv(PRECISION_ENV, precision_env)
     code, out, err = run(capsys, *argv, "--game", "[3;2,1,1]")
     assert (code, out) == (2, "")
     assert err.startswith("error:")

@@ -1,4 +1,4 @@
-"""Rational helpers and the small exact linear algebra kit."""
+"""Rational helpers and the integer elimination kernel."""
 
 from fractions import Fraction
 
@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powerpoly.exact_math import (
-    RatMatrix,
-    decimal_str,
-    determinant,
-    parse_rational,
-    rank,
-)
+from powerpoly.exact_math import bareiss, decimal_str, parse_rational
 from expected_values import ACCEPTED_LITERALS, REJECTED_LITERALS
 from integration_oracle import _eliminate
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
+integers = st.integers(min_value=-100, max_value=100)
 
 
 class TestParseRational:
@@ -59,63 +54,62 @@ class TestDecimalStr:
         assert decimal_str(Fraction(1, 8), 6) == "0.125000"
 
 
+def det(rows):
+    """Determinant through bareiss: its last pivot, or 0 below full rank."""
+    rnk, last = bareiss([list(row) for row in rows])
+    return last if rnk == len(rows) else 0
+
+
+def rank(rows):
+    return bareiss([list(row) for row in rows])[0]
+
+
 class TestDeterminant:
     def test_identity_3x3(self):
-        a = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert determinant(a) == 1
+        assert det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
     def test_diagonal(self):
-        a = RatMatrix.from_rows([[1, 0], [0, Fraction(1, 2)]])
-        assert determinant(a) == Fraction(1, 2)
+        assert det([[1, 0], [0, 2]]) == 2
 
     def test_simplex_edge_matrix_against_shoelace(self):
-        # triangle (1/3,1/3), (1/2,1/2), (1/2,0); edge vectors as columns
-        p = (Fraction(1, 3), Fraction(1, 3))
-        q = (Fraction(1, 2), Fraction(1, 2))
-        r = (Fraction(1, 2), Fraction(0))
-        a = RatMatrix.from_rows(
-            [
-                [q[0] - p[0], r[0] - p[0]],
-                [q[1] - p[1], r[1] - p[1]],
-            ]
-        )
-        det = determinant(a)
-        assert det == Fraction(-1, 12)
+        # triangle (1/3,1/3), (1/2,1/2), (1/2,0) times 6: (2,2), (3,3),
+        # (3,0); edge vectors as columns
+        p, q, r = (2, 2), (3, 3), (3, 0)
+        d = det([[q[0] - p[0], r[0] - p[0]], [q[1] - p[1], r[1] - p[1]]])
+        assert d == -3
         shoelace = (
-            p[0] * (q[1] - r[1])
-            + q[0] * (r[1] - p[1])
-            + r[0] * (p[1] - q[1])
-        ) / 2
-        assert abs(det) / 2 == abs(shoelace) == Fraction(1, 24)
+            p[0] * (q[1] - r[1]) + q[0] * (r[1] - p[1]) + r[0] * (p[1] - q[1])
+        )
+        assert abs(d) == abs(shoelace) == 3
+        # area 3/2 at scale 6 is 1/24 for the rational triangle
+        assert Fraction(abs(d), 2 * 6**2) == Fraction(1, 24)
 
     def test_row_swap_flips_sign(self):
-        a = RatMatrix.from_rows([[2, 3], [5, 7]])
-        b = RatMatrix.from_rows([[5, 7], [2, 3]])
-        assert determinant(a) == -determinant(b)
+        assert det([[2, 3], [5, 7]]) == -det([[5, 7], [2, 3]]) == -1
+        assert det([[0, 1], [1, 0]]) == -1  # the kernel swaps these itself
 
     def test_singular_is_exactly_zero(self):
-        a = RatMatrix.from_rows([[1, 2], [2, 4]])
-        assert determinant(a) == 0
+        assert bareiss([[1, 2], [2, 4]])[0] == 1
+        assert det([[1, 2], [2, 4]]) == 0
 
     @given(
         st.lists(
-            st.lists(rationals, min_size=2, max_size=2),
+            st.lists(integers, min_size=2, max_size=2),
             min_size=2,
             max_size=2,
         )
     )
     def test_transpose_invariance(self, rows):
-        a = RatMatrix.from_rows(rows)
-        t = RatMatrix.from_rows(
-            [[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]]
-        )
-        assert determinant(a) == determinant(t)
+        t = [[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]]
+        assert det(rows) == det(t)
 
 
 # few distinct entries, many zeros: rank deficiency and pivot-free columns
-sparse_entries = st.sampled_from(
-    [Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 3)]
-)
+sparse_entries = st.sampled_from([0] * 4 + [1, -2, 3, -5, 12])
+
+
+def fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def matrices(rows, cols):
@@ -132,24 +126,21 @@ def matrices(rows, cols):
     )
 )
 def test_rank_matches_fraction_elimination(rows):
-    assert rank(RatMatrix.from_rows(rows)) == _eliminate(rows)[0]
+    assert rank(rows) == _eliminate(fractions(rows))[0]
 
 
 @given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
 def test_determinant_matches_fraction_elimination(rows):
-    rnk, det = _eliminate(rows)
-    assert determinant(RatMatrix.from_rows(rows)) == (det if rnk == len(rows) else 0)
+    rnk, ref = _eliminate(fractions(rows))
+    assert det(rows) == (ref if rnk == len(rows) else 0)
 
 
-class TestRatMatrix:
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            RatMatrix.from_rows([[1, 2], [3]])
-
+class TestRank:
     def test_rank(self):
-        assert rank(RatMatrix.from_rows([[1, 1], [2, 2]])) == 1
-        assert rank(RatMatrix.from_rows([[1, 0], [0, 1]])) == 2
-        assert rank(RatMatrix.from_rows([[0, 0], [0, 0]])) == 0
+        assert rank([[1, 1], [2, 2]]) == 1
+        assert rank([[1, 0], [0, 1]]) == 2
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert rank([[0, 1, 0], [0, 0, 1]]) == 2  # past a pivot-free column
 
 
 @given(rationals, rationals)

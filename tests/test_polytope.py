@@ -7,7 +7,6 @@ from math import lcm
 import numpy as np
 import pytest
 
-from powerpoly.exact_math import RatMatrix, determinant, rank
 from powerpoly.game_core import parse_game
 from powerpoly.polytope import (
     Constraint,
@@ -26,6 +25,7 @@ from powerpoly.polytope import (
     volume,
 )
 from expected_values import TABLE, WORKED
+from integration_oracle import _eliminate, oracle_integrals
 
 
 def poly_from(dim, rows):
@@ -40,21 +40,10 @@ def vertex_coords(poly):
     return {v.coords for v in enumerate_vertices(poly)}
 
 
-def cells_volume_moments(cells, dim):
-    """Recompute volume and moments from an explicit cell list."""
-    from powerpoly.polytope import _simplex_volume
-
-    vol = Fraction(0)
-    moms = [Fraction(0)] * dim
-    for cell in cells:
-        cv = _simplex_volume(cell)
-        vol += cv
-        for i in range(dim):
-            avg = sum(
-                (v.coords[i] for v in cell.vertices), Fraction(0)
-            ) / len(cell.vertices)
-            moms[i] += cv * avg
-    return vol, tuple(moms)
+def determinant(rows):
+    """Fraction determinant by the oracle's elimination; 0 when singular."""
+    rnk, det = _eliminate(rows)
+    return det if rnk == len(rows) else Fraction(0)
 
 
 UNIT_TRIANGLE = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
@@ -178,7 +167,7 @@ class TestVertexEnumeration:
                 d = poly.dim
                 for v in enumerate_vertices(poly):
                     rows = [list(poly.constraints[i].a) for i in sorted(v.active)]
-                    assert rank(RatMatrix.from_rows(rows)) == d
+                    assert _eliminate(rows)[0] == d
 
     def test_every_nonsingular_active_subset_reproduces_vertex(self):
         # independent solve route: any d active boundaries with full rank
@@ -191,14 +180,12 @@ class TestVertexEnumeration:
                 for subset in combinations(sorted(v.active), d):
                     rows = [list(poly.constraints[i].a) for i in subset]
                     rhs = [poly.constraints[i].b for i in subset]
-                    det = determinant(RatMatrix.from_rows(rows))
+                    det = determinant(rows)
                     if det:
                         # Cramer's rule: column k replaced by the bounds
                         sol = tuple(
                             determinant(
-                                RatMatrix.from_rows(
-                                    [r[:k] + [b] + r[k + 1 :] for r, b in zip(rows, rhs)]
-                                )
+                                [r[:k] + [b] + r[k + 1 :] for r, b in zip(rows, rhs)]
                             )
                             / det
                             for k in range(d)
@@ -234,6 +221,8 @@ class TestTriangulation:
         assert all(len(c.vertices) == 3 for c in cells)
 
     def test_apex_rules_agree_on_volume_and_moments(self, corpus):
+        # the integer integrals over the lexmin cells against the Fraction
+        # oracle's integrals over a second triangulation, its lexmax cells
         for game in corpus:
             if game.n > 4:
                 continue
@@ -243,18 +232,9 @@ class TestTriangulation:
             ):
                 if poly.dim == 0:
                     continue
-                lo = cells_volume_moments(
-                    triangulate(poly, apex_rule="lexmin"), poly.dim
+                assert (volume(poly), moments(poly)) == oracle_integrals(
+                    poly, "lexmax"
                 )
-                hi = cells_volume_moments(
-                    triangulate(poly, apex_rule="lexmax"), poly.dim
-                )
-                assert lo == hi
-
-    def test_rejects_unknown_apex_rule(self):
-        poly = poly_from(2, UNIT_TRIANGLE)
-        with pytest.raises(ValueError):
-            triangulate(poly, apex_rule="random")
 
 
 class TestVolumeAndMoments:
