@@ -13,6 +13,7 @@ from .game_core import (
     GameFormatError,
     MAX_VOTERS,
     NormalizedRepresentation,
+    ScaleExceededError,
     WeightedGame,
     coalition,
     coalition_str,
@@ -30,7 +31,6 @@ from .indices import (
     KIND_AVG_REP,
     KIND_AVG_WEIGHT,
     KIND_SSI,
-    ScaleExceededError,
     average_representation_index,
     average_weight_index,
     check_axioms,

@@ -3,7 +3,8 @@
 Subcommands: `index` (power indices), `polytope` (geometry inspection),
 `intreps` (integer grids), `table` (the built-in n <= 4 catalogue).
 Exit codes: 0 on success, 2 for malformed input, 3 for requests beyond
-the supported scale.
+the supported scale: the library refuses those with ScaleExceededError
+before starting the work, and this module only maps that to exit 3.
 """
 
 from __future__ import annotations
@@ -13,17 +14,16 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .canonical_games import canonical_games
 from .exact_math import decimal_str
-from .game_core import GameFormatError, parse_game
+from .game_core import GameFormatError, ScaleExceededError, parse_game
 from .indices import (
     _BASE_INDICES,
     EXACT_GUARANTEED_VOTERS,
     KIND_AVG_WEIGHT,
     KIND_SSI,
-    MAX_POLYTOPE_ROWS,
-    ScaleExceededError,
     average_representation_index,
     average_weight_index,
     check_axioms,
@@ -43,7 +43,6 @@ from .polytope import (
     build_representation_polytope,
     build_weight_polytope,
     centroid,
-    constraint_count,
     enumerate_vertices,
     estimate_centroid_mc,
     moments,
@@ -52,23 +51,25 @@ from .polytope import (
 )
 
 PRECISION_ENV = "POWERPOLY_PRECISION"
+MAX_PRECISION = 1000  # decimal places; str() of an int refuses 4,301 digits
 
 
 def _precision(args) -> int:
     """Output precision: --precision, else $POWERPOLY_PRECISION, else 6."""
-    if args.precision is not None:
-        if args.precision < 0:
-            raise GameFormatError("precision must be nonnegative")
-        return args.precision
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return 6
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GameFormatError(f"{PRECISION_ENV} must be an integer") from None
+    name, value = "precision", args.precision
+    if value is None:
+        raw = os.environ.get(PRECISION_ENV)
+        if raw is None:
+            return 6
+        name = PRECISION_ENV
+        try:
+            value = int(raw)
+        except ValueError:
+            raise GameFormatError(f"{name} must be an integer") from None
     if value < 0:
-        raise GameFormatError(f"{PRECISION_ENV} must be nonnegative")
+        raise GameFormatError(f"{name} must be nonnegative")
+    if value > MAX_PRECISION:
+        raise GameFormatError(f"{name} must be at most {MAX_PRECISION}")
     return value
 
 
@@ -108,26 +109,9 @@ def _cmd_index(args) -> int:
     if index.avg_quota is not None:
         print(f"avg quota: {index.avg_quota}")
     if axioms is not None:
-        print(f"symmetric: {'yes' if axioms.symmetric else 'no'}")
-        print(f"positive: {'yes' if axioms.positive else 'no'}")
-        print(f"efficient: {'yes' if axioms.efficient else 'no'}")
-        print(f"dummy property: {'yes' if axioms.dummy_property else 'no'}")
-        print(
-            "representation compatible: "
-            f"{'yes' if axioms.representation_compatible else 'no'}"
-        )
+        for name, holds in asdict(axioms).items():
+            print(f"{name.replace('_', ' ')}: {'yes' if holds else 'no'}")
     return 0
-
-
-def _check_polytope_scale(kind: str, game, exact_needed: bool) -> None:
-    rows = constraint_count(game, representation=kind == "rep")
-    if rows > MAX_POLYTOPE_ROWS:
-        raise ScaleExceededError(
-            f"the {kind} polytope of this game has {rows} constraint rows, "
-            f"more than the supported {MAX_POLYTOPE_ROWS}"
-        )
-    if exact_needed:
-        _check_exact_scale(kind, game.n)
 
 
 def _cmd_polytope(args) -> int:
@@ -147,8 +131,9 @@ def _cmd_polytope(args) -> int:
             raise GameFormatError("--seed must be nonnegative")
         if args.samples < 1:
             raise GameFormatError("--samples must be positive")
-    _check_polytope_scale(args.kind, game, wants_exact)
-    poly = build(game)
+    poly = build(game)  # refuses past MAX_POLYTOPE_ROWS, exact or not
+    if wants_exact:
+        _check_exact_scale(args.kind, game.n)
     if args.json:
         doc = polytope_to_json(poly)
         if args.estimate_centroid_mc:
@@ -248,11 +233,7 @@ def _table_doc(game, index, precision) -> dict:
 
 def _cmd_table(args) -> int:
     if args.max_voters < 1 or args.max_voters > 4:
-        print(
-            "error: the built-in catalogue covers 1 to 4 voters",
-            file=sys.stderr,
-        )
-        return 3
+        raise ScaleExceededError("the built-in catalogue covers 1 to 4 voters")
     rows = []
     for spec in canonical_games(args.max_voters):
         game = parse_game(spec)

@@ -24,6 +24,7 @@ __all__ = [
     "GameFormatError",
     "MAX_VOTERS",
     "NormalizedRepresentation",
+    "ScaleExceededError",
     "WeightedGame",
     "coalition",
     "coalition_str",
@@ -44,6 +45,10 @@ _GAME_RE = re.compile(r"^\s*\[([^;\[\]]*);([^\[\]]*)\]\s*$")
 
 class GameFormatError(ValueError):
     """Malformed game spec text or invalid game parameters."""
+
+
+class ScaleExceededError(RuntimeError):
+    """Request beyond a scale limit, refused before its work starts."""
 
 
 def coalition(voters: Iterable[int]) -> Coalition:
@@ -108,7 +113,7 @@ class WeightedGame:
         if not ws:
             raise GameFormatError("a game needs at least one voter")
         if len(ws) > MAX_VOTERS:
-            raise GameFormatError(f"at most {MAX_VOTERS} voters are supported")
+            raise ScaleExceededError(f"at most {MAX_VOTERS} voters are supported")
         if quota <= 0:
             raise GameFormatError("quota must be positive")
         if any(w < 0 for w in ws):

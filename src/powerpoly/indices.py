@@ -9,12 +9,12 @@ general) are themselves feasible weight vectors for the game they score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .game_core import WeightedGame, is_feasible_weights
+from .game_core import ScaleExceededError, WeightedGame, is_feasible_weights
 from .polytope import (
     build_representation_polytope,
     build_weight_polytope,
@@ -29,10 +29,6 @@ __all__ = [
     "KIND_AVG_REP",
     "KIND_AVG_WEIGHT",
     "KIND_SSI",
-    "MAX_GRID_POINTS",
-    "MAX_GRID_VOTERS",
-    "MAX_POLYTOPE_ROWS",
-    "ScaleExceededError",
     "average_representation_index",
     "average_weight_index",
     "check_axioms",
@@ -58,22 +54,6 @@ KIND_AVG_REP = "avg-rep"
 # two.
 EXACT_GUARANTEED_VOTERS = 7
 EXACT_MAX_VOTERS = 8
-
-# Largest polytope, in constraint rows, the CLI builds. Building costs
-# about 40 us and 0.9 KB per row and the Monte Carlo set-up about as
-# much again (17,301 rows: 0.5 s build, 105 MB peak RSS with MC; 56,892
-# rows: 2.2 s, 158 MB), so this keeps either within about a second. The
-# weight polytope has |MWC| * |MLC| rows, which passes it from 10 voters
-# on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
-MAX_POLYTOPE_ROWS = 20_000
-
-# Integer grid scans: voters and compositions scanned per call.
-MAX_GRID_VOTERS = 5
-MAX_GRID_POINTS = 20_000_000
-
-
-class ScaleExceededError(RuntimeError):
-    """Game too large for the exact integration pipeline."""
 
 
 def check_exact_scale(kind: str, n: int) -> bool:
@@ -266,11 +246,5 @@ def index_to_json(
     if index.avg_quota is not None:
         doc["avg_quota"] = str(index.avg_quota)
     if axioms is not None:
-        doc["axioms"] = {
-            "symmetric": axioms.symmetric,
-            "positive": axioms.positive,
-            "efficient": axioms.efficient,
-            "dummy_property": axioms.dummy_property,
-            "representation_compatible": axioms.representation_compatible,
-        }
+        doc["axioms"] = asdict(axioms)
     return doc

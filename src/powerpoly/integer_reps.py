@@ -32,13 +32,10 @@ from math import comb
 from typing import TYPE_CHECKING, Sequence
 
 from .exact_math import decimal_str
-from .game_core import GameFormatError, WeightedGame, l1_distance
+from .game_core import GameFormatError, ScaleExceededError, WeightedGame, l1_distance
 from .indices import (
     KIND_AVG_REP,
-    MAX_GRID_POINTS,
-    MAX_GRID_VOTERS,
     IndexVector,
-    ScaleExceededError,
     average_representation_index,
     average_weight_index,
     index_to_json,
@@ -51,6 +48,8 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "GridSummary",
+    "MAX_GRID_POINTS",
+    "MAX_GRID_VOTERS",
     "convergence_experiment",
     "convergence_to_json",
     "enumerate_integer_feasible_weights",
@@ -59,6 +58,10 @@ __all__ = [
 ]
 
 CHUNK = 1 << 13  # heads per block
+
+# Voters and compositions one scan may cover; _check_scale applies them.
+MAX_GRID_VOTERS = 5
+MAX_GRID_POINTS = 20_000_000
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""Shared fixtures: catalogue corpus, random games, cached index values."""
+"""Shared fixtures: catalogue corpus, random games, cached index values,
+hand-built polytopes."""
 
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 
 from powerpoly import (
+    Constraint,
+    HPolytope,
     average_representation_index,
     average_weight_index,
     parse_game,
@@ -30,6 +34,14 @@ def cached_index(kind, game):
     if key not in _index_cache:
         _index_cache[key] = _INDEX_FN[kind](game)
     return _index_cache[key]
+
+
+def poly_from(dim, rows):
+    """HPolytope from (coefficients, bound) pairs."""
+    return HPolytope(
+        dim,
+        [Constraint(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in rows],
+    )
 
 
 def mc_seed(game):

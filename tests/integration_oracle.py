@@ -108,14 +108,18 @@ def _simplex_volume(cell: Simplex) -> Fraction:
 
 
 def oracle_integrals(
-    poly: HPolytope, apex_rule: str = "lexmin"
+    poly: HPolytope,
+    apex_rule: str = "lexmin",
+    cells: list[Simplex] | None = None,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(volume, moments), a Fraction volume and vertex average per cell
-    of the apex_rule triangulation."""
+    of the apex_rule triangulation, or of `cells` when given."""
+    if cells is None:
+        cells = oracle_triangulate(poly, apex_rule)
     d = poly.dim
     vol = Fraction(0)
     totals = [Fraction(0)] * d
-    for cell in oracle_triangulate(poly, apex_rule):
+    for cell in cells:
         cell_vol = _simplex_volume(cell)
         if cell_vol == 0:
             continue
@@ -127,12 +131,15 @@ def oracle_integrals(
     return vol, tuple(totals)
 
 
-def oracle_centroid(poly: HPolytope) -> tuple[Fraction, ...]:
+def oracle_centroid(
+    poly: HPolytope, integrals: tuple[Fraction, tuple[Fraction, ...]]
+) -> tuple[Fraction, ...]:
+    """Centroid from the polytope's oracle_integrals, or its refusal."""
     if poly.dim == 0:
         if not enumerate_vertices(poly):
             raise DegenerateGeometryError("empty polytope has no centroid")
         return ()
-    vol, totals = oracle_integrals(poly)
+    vol, totals = integrals
     if vol == 0:
         raise DegenerateGeometryError(
             "zero-volume polytope has no well-defined centroid"

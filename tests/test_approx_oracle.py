@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 
 from powerpoly import integer_reps, polytope
 from powerpoly.game_core import parse_game
-from powerpoly.indices import MAX_GRID_POINTS
-from powerpoly.integer_reps import _grid_scan
+from powerpoly.integer_reps import MAX_GRID_POINTS, _grid_scan
 from powerpoly.polytope import (
-    Constraint,
     EstimateInconclusiveError,
     HPolytope,
     _bounding_box,
@@ -36,6 +34,7 @@ from approx_oracle import (
     oracle_estimate_centroid_mc,
     oracle_grid_scan,
 )
+from conftest import poly_from
 from expected_values import TABLE
 from test_game_core import small_games
 
@@ -60,14 +59,6 @@ COLUMN_CHUNKS = (1, 3, 8_191, (1 << 17) + 1)
 
 # One game per voter count for the exhaustive grid comparisons.
 GRID_GAMES = ("[1;1]", "[2;1,1]", "[3;2,1,1]", "[3;2,1,1,1]", "[8;5,3,2,2,1]")
-
-
-def poly_from(dim, rows):
-    """HPolytope from (coefficients, bound) pairs."""
-    return HPolytope(
-        dim,
-        [Constraint(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in rows],
-    )
 
 
 UNIT_TRIANGLE = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]

@@ -15,9 +15,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
-from powerpoly import cli, integer_reps
+from powerpoly import integer_reps, polytope
 from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
-from powerpoly.indices import MAX_POLYTOPE_ROWS
+from powerpoly.polytope import MAX_POLYTOPE_ROWS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -255,10 +255,10 @@ class TestPolytopeCommand:
         self, capsys, monkeypatch
     ):
         # 16 voters: 2552 x 2597 (minimal winning, maximal losing) pairs
-        def build(game):
-            raise AssertionError("the polytope was built")
+        def coalition_str(mask):
+            raise AssertionError("a coalition row was written")
 
-        monkeypatch.setattr(cli, "build_weight_polytope", build)
+        monkeypatch.setattr(polytope, "coalition_str", coalition_str)
         start = time.perf_counter()
         code, out, err = run(
             capsys,
@@ -283,13 +283,13 @@ class TestPolytopeCommand:
         assert 'see README "Scale"' in err
 
     def test_exact_request_beyond_cap_exits_3(self, capsys):
-        code, _, err = run(
-            capsys,
-            "polytope", "--kind", "rep", "--volume",
-            "--game", "[4;1,1,1,1,1,1,1,1,1]",
-        )
-        assert code == 3
-        assert err.startswith("error:")
+        # 9 voters pass all but the exact cap; 17 fail the cap on any game
+        for spec in ("[4;1,1,1,1,1,1,1,1,1]", "[9;" + ",".join("1" * 17) + "]"):
+            code, _, err = run(
+                capsys, "polytope", "--kind", "rep", "--volume", "--game", spec
+            )
+            assert code == 3
+            assert err.startswith("error:")
 
     def test_json_with_mc_fields(self, capsys):
         code, out, _ = run(
@@ -464,11 +464,17 @@ class TestPrecision:
         # plain `index` prints no decimals, but its precision is still checked
         (["index", "--kind", "ssi", "--precision", "-1"], None),
         (["index", "--kind", "avg-weight"], "wide"),
+        # past the bound, decimals would exceed str()'s 4,300-digit limit
+        (["index", "--kind", "ssi", "--json", "--precision", "4301"], None),
+        (["intreps", "--total", "10", "--precision", "5000"], None),
+        (["index", "--kind", "ssi", "--json"], "100000"),
     ],
     ids=[
         "zero-samples", "negative-samples", "negative-seed", "zero-total",
         "negative-total", "descending-totals", "zero-in-totals",
         "index-negative-precision", "index-precision-env",
+        "index-huge-precision", "intreps-huge-precision",
+        "index-huge-precision-env",
     ],
 )
 def test_malformed_numeric_option_exits_2(capsys, monkeypatch, argv, precision_env):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from powerpoly import (
     GameFormatError,
     NormalizedRepresentation,
+    ScaleExceededError,
     WeightedGame,
     coalition,
     is_feasible_weights,
@@ -128,7 +129,7 @@ class TestParse:
             parse_game(spec)
 
     def test_voter_cap(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(ScaleExceededError):
             parse_game("[1;" + ",".join("1" * 17) + "]")
 
     def test_round_trip_on_canonical_specs(self, corpus):

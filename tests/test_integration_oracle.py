@@ -24,7 +24,7 @@ from powerpoly.polytope import (
     triangulate,
     volume,
 )
-from conftest import random_games
+from conftest import poly_from, random_games
 from expected_values import TABLE
 from integration_oracle import oracle_centroid, oracle_integrals, oracle_triangulate
 from test_game_core import small_games
@@ -32,26 +32,20 @@ from test_game_core import small_games
 BUILDERS = (build_weight_polytope, build_representation_polytope)
 
 
-def centroid_or_refusal(fn, poly):
+def centroid_or_refusal(fn, *args):
     try:
-        return fn(poly)
+        return fn(*args)
     except DegenerateGeometryError as exc:
         return str(exc)
 
 
 def assert_matches_oracle(poly):
-    assert triangulate(poly) == oracle_triangulate(poly)
-    assert (volume(poly), moments(poly)) == oracle_integrals(poly)
+    cells = oracle_triangulate(poly)
+    assert triangulate(poly) == cells
+    integrals = oracle_integrals(poly, cells=cells)
+    assert (volume(poly), moments(poly)) == integrals
     assert centroid_or_refusal(centroid, poly) == centroid_or_refusal(
-        oracle_centroid, poly
-    )
-
-
-def poly_from(dim, rows):
-    """HPolytope from (coefficients, bound) pairs."""
-    return HPolytope(
-        dim,
-        [Constraint(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in rows],
+        oracle_centroid, poly, integrals
     )
 
 

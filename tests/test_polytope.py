@@ -1,5 +1,6 @@
 """Geometry tests: polytope builders, vertices, volume, moments, MC."""
 
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -7,7 +8,8 @@ from math import lcm
 import numpy as np
 import pytest
 
-from powerpoly.game_core import parse_game
+from powerpoly import polytope
+from powerpoly.game_core import ScaleExceededError, parse_game
 from powerpoly.polytope import (
     Constraint,
     DegenerateGeometryError,
@@ -24,16 +26,9 @@ from powerpoly.polytope import (
     triangulate,
     volume,
 )
+from conftest import poly_from
 from expected_values import TABLE, WORKED
 from integration_oracle import _eliminate, oracle_integrals
-
-
-def poly_from(dim, rows):
-    """HPolytope from (coefficients, bound) pairs."""
-    return HPolytope(
-        dim,
-        [Constraint(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in rows],
-    )
 
 
 def vertex_coords(poly):
@@ -136,6 +131,32 @@ def test_constraint_count_matches_the_builders(spec):
     rep = build_representation_polytope(game)
     assert constraint_count(game) == len(weight.constraints)
     assert constraint_count(game, representation=True) == len(rep.constraints)
+
+
+@pytest.mark.parametrize(
+    "builder, spec, rows",
+    [
+        (
+            build_weight_polytope,
+            "[70;1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]",
+            6627560,
+        ),
+        (build_representation_polytope, "[8;" + ",".join("1" * 16) + "]", 24328),
+    ],
+    ids=["weight", "rep"],
+)
+def test_builders_refuse_past_the_row_cap_before_writing_a_row(
+    monkeypatch, builder, spec, rows
+):
+    def coalition_str(mask):
+        raise AssertionError("a coalition row was written")
+
+    game = parse_game(spec)
+    monkeypatch.setattr(polytope, "coalition_str", coalition_str)
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceededError, match=f"has {rows} constraint rows"):
+        builder(game)
+    assert time.perf_counter() - start < 1
 
 
 class TestVertexEnumeration:

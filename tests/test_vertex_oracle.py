@@ -18,7 +18,7 @@ from powerpoly.polytope import (
     build_weight_polytope,
     enumerate_vertices,
 )
-from conftest import random_games
+from conftest import poly_from, random_games
 from expected_values import TABLE
 from test_game_core import small_games
 from vertex_oracle import oracle_vertices
@@ -30,14 +30,6 @@ def assert_matches_oracle(poly):
     got = [(v.coords, v.active) for v in enumerate_vertices(poly)]
     want = [(v.coords, v.active) for v in oracle_vertices(poly)]
     assert got == want
-
-
-def poly_from(dim, rows):
-    """HPolytope from (coefficients, bound) pairs."""
-    return HPolytope(
-        dim,
-        [Constraint(tuple(Fraction(c) for c in a), Fraction(b)) for a, b in rows],
-    )
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
