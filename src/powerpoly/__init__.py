@@ -27,6 +27,7 @@ from .indices import (
     AxiomReport,
     EXACT_GUARANTEED_VOTERS,
     EXACT_MAX_VOTERS,
+    INDICES,
     IndexVector,
     KIND_AVG_REP,
     KIND_AVG_WEIGHT,

@@ -17,11 +17,11 @@ import sys
 from dataclasses import asdict
 
 from .canonical_games import canonical_games
-from .exact_math import decimal_str
+from .exact_math import MAX_PRECISION, decimal_str
 from .game_core import GameFormatError, ScaleExceededError, parse_game
 from .indices import (
-    _BASE_INDICES,
     EXACT_GUARANTEED_VOTERS,
+    INDICES,
     KIND_AVG_WEIGHT,
     KIND_SSI,
     average_representation_index,
@@ -51,7 +51,6 @@ from .polytope import (
 )
 
 PRECISION_ENV = "POWERPOLY_PRECISION"
-MAX_PRECISION = 1000  # decimal places; str() of an int refuses 4,301 digits
 
 
 def _precision(args) -> int:
@@ -100,7 +99,7 @@ def _cmd_index(args) -> int:
     if args.dummy_revealing:
         index = dummy_revealing(args.kind, game)
     else:
-        index = _BASE_INDICES[args.kind](game)
+        index = INDICES[args.kind](game)
     axioms = check_axioms(game, index) if args.axioms else None
     if args.json:
         _emit_json(index_to_json(game, index, axioms, args.precision))
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument(
         "--kind",
         required=True,
-        choices=list(_BASE_INDICES),
+        choices=list(INDICES),
     )
     p_index.add_argument("--dummy-revealing", action="store_true")
     p_index.add_argument("--axioms", action="store_true")

@@ -17,7 +17,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = ["bareiss", "decimal_str", "parse_rational"]
+__all__ = ["MAX_PRECISION", "bareiss", "decimal_str", "parse_rational"]
+
+MAX_PRECISION = 1000  # decimal places; str() of an int refuses 4,301 digits
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -38,13 +40,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def decimal_str(value: Fraction | int, places: int = 6) -> str:
-    """Decimal rendering with exactly `places` digits, half-even rounding.
+    """Exactly `places` <= MAX_PRECISION decimal digits, half-even rounding.
 
     The rounding happens on the exact rational, so the printed digits are
     the true rounded digits and not a float artifact.
     """
     if places < 0:
         raise ValueError("places must be nonnegative")
+    if places > MAX_PRECISION:
+        raise ValueError(f"places must be at most {MAX_PRECISION}")
     scaled = round(Fraction(value) * 10**places)
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**places)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
+from .exact_math import decimal_str
 from .game_core import ScaleExceededError, WeightedGame, is_feasible_weights
 from .polytope import (
     build_representation_polytope,
@@ -25,6 +26,7 @@ __all__ = [
     "AxiomReport",
     "EXACT_GUARANTEED_VOTERS",
     "EXACT_MAX_VOTERS",
+    "INDICES",
     "IndexVector",
     "KIND_AVG_REP",
     "KIND_AVG_WEIGHT",
@@ -149,7 +151,8 @@ def average_representation_index(game: WeightedGame) -> IndexVector:
     )
 
 
-_BASE_INDICES = {
+# The one registry of index kinds: kind name -> exact index function.
+INDICES = {
     KIND_SSI: shapley_shubik,
     KIND_AVG_WEIGHT: average_weight_index,
     KIND_AVG_REP: average_representation_index,
@@ -163,10 +166,10 @@ def dummy_revealing(kind: str, game: WeightedGame) -> IndexVector:
     game's average quota (if any) carries over unchanged, since padding a
     representation with zero weights represents the original game.
     """
-    if kind not in _BASE_INDICES:
+    if kind not in INDICES:
         raise ValueError(f"unknown index kind: {kind!r}")
     reduced, id_map = game.dummy_reduced()
-    base = _BASE_INDICES[kind](reduced)
+    base = INDICES[kind](reduced)
     values = [Fraction(0)] * game.n
     for new_id, old_id in id_map.items():
         values[old_id - 1] = base.values[new_id - 1]
@@ -235,8 +238,6 @@ def index_to_json(
     precision: int = 6,
 ) -> dict:
     """JSON document for an index result; schema is stable across kinds."""
-    from .exact_math import decimal_str
-
     doc: dict = {
         "game": game.to_spec(),
         "kind": index.kind,

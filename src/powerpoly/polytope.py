@@ -285,28 +285,6 @@ def _rows(
     return poly._cache["rows"]
 
 
-def _preprocess(rows: Iterable[tuple[tuple[int, ...], int]]):
-    """Drop trivial constants, exact duplicates and dominated twins.
-
-    Two constraints with the same primitive normal differ only in b; the
-    smaller b implies the larger. Returns None when a constant constraint
-    is unsatisfiable (empty polytope).
-    """
-    best: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    for a, b in rows:
-        if not any(a):
-            if b < 0:
-                return None
-            continue
-        if a not in best:
-            order.append(a)
-            best[a] = b
-        elif b < best[a]:
-            best[a] = b
-    return [(a, best[a]) for a in order]
-
-
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*v)
     return tuple(c // g for c in v) if g > 1 else tuple(v)
@@ -342,9 +320,11 @@ def _cone_rays(rows: list[tuple[tuple[int, ...], int]], d: int):
     third ray's zero set contains their common one, tried only when the
     common zero set is large enough to cut out a 2-face.
 
-    Rays come back as primitive integer vectors with their zero sets as
-    bitmasks (bit j for rows[j], bit len(rows) for t >= 0). Returns None
-    when a line survives every row: then the polytope has no vertex.
+    Rows are taken as they stand, constant ones too: 0 <= 0 is zero on
+    every ray and 0 <= b < 0 leaves no ray with t > 0. Rays come back as
+    primitive integer vectors with their zero sets as bitmasks (bit j
+    for rows[j], bit len(rows) for t >= 0). Returns None when a line
+    survives every row: then the polytope has no vertex.
     """
     m = len(rows)
     lines = [tuple(int(i == k) for i in range(d + 1)) for k in range(d + 1)]
@@ -398,37 +378,27 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     """All extreme points, sorted lexicographically by coordinates.
 
     The vertices are the extreme rays (x, t) with t > 0 of the
-    homogenized cone over the preprocessed integer rows, found by exact
-    double description; vertex i is x / t for the i-th of the primitive
-    rays kept beside the vertices. A constraint is active at a vertex
-    when its integer row is a kept row in the ray's zero set, or when it
-    reads 0 <= 0.
+    homogenized cone over the polytope's distinct integer rows, in
+    first-seen order, found by exact double description; vertex i is
+    x / t for the i-th of the primitive rays kept beside the vertices. A
+    constraint is active at a vertex when its integer row is in the ray's
+    zero set.
     """
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
     d = poly.dim
-    rows = _rows(poly)[0]
-    pre = _preprocess(rows)
-    rays = None if pre is None else _cone_rays(pre, d)
+    ids: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for i, row in enumerate(_rows(poly)[0]):
+        ids.setdefault(row, []).append(i)
+    rays = _cone_rays(list(ids), d)
     found: list[tuple[Vertex, tuple[int, ...]]] = []
     if rays:
-        row_index = {row: j for j, row in enumerate(pre)}
-        tight_on: list[list[int]] = [[] for _ in pre]
-        always: list[int] = []
-        for i, (a, b) in enumerate(rows):
-            if not any(a):
-                if b == 0:
-                    always.append(i)
-            elif (a, b) in row_index:
-                tight_on[row_index[a, b]].append(i)
+        groups = list(ids.values())
         for ray, zero in rays:
             t = ray[d]
             if t > 0:
-                active = always + [
-                    i
-                    for j, ids in enumerate(tight_on)
-                    if zero >> j & 1
-                    for i in ids
+                active = [
+                    i for j, group in enumerate(groups) if zero >> j & 1 for i in group
                 ]
                 coords = tuple(Fraction(c, t) for c in ray[:d])
                 found.append((Vertex(coords, frozenset(active)), ray))

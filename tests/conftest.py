@@ -7,21 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from powerpoly import (
-    Constraint,
-    HPolytope,
-    average_representation_index,
-    average_weight_index,
-    parse_game,
-    shapley_shubik,
-)
+from powerpoly import INDICES, Constraint, HPolytope, parse_game
 from expected_values import TABLE
-
-_INDEX_FN = {
-    "ssi": shapley_shubik,
-    "avg-weight": average_weight_index,
-    "avg-rep": average_representation_index,
-}
 
 # Games hash by coalition structure and the indices depend on nothing
 # else, so one dict memoizes across the whole session (dual pairs and
@@ -32,7 +19,7 @@ _index_cache = {}
 def cached_index(kind, game):
     key = (kind, game)
     if key not in _index_cache:
-        _index_cache[key] = _INDEX_FN[kind](game)
+        _index_cache[key] = INDICES[kind](game)
     return _index_cache[key]
 
 

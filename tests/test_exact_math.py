@@ -53,6 +53,14 @@ class TestDecimalStr:
     def test_exact_terminating_decimal(self):
         assert decimal_str(Fraction(1, 8), 6) == "0.125000"
 
+    def test_thousand_places(self):
+        out = decimal_str(Fraction(1, 3), 1000)
+        assert out == "0." + "3" * 1000
+
+    def test_refuses_past_thousand_places(self):
+        with pytest.raises(ValueError, match="at most 1000"):
+            decimal_str(Fraction(1, 3), 1001)
+
 
 def det(rows):
     """Determinant through bareiss: its last pivot, or 0 below full rank."""

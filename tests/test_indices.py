@@ -247,3 +247,8 @@ class TestJson:
             "dummy_property": True,
             "representation_compatible": True,
         }
+
+    def test_refuses_precision_past_the_bound(self):
+        game = parse_game("[3;2,1,1]")
+        with pytest.raises(ValueError, match="at most 1000"):
+            index_to_json(game, shapley_shubik(game), None, 4301)

@@ -80,6 +80,8 @@ HAND_BUILT = {
         ((0, 0), 5),  # constant, never tight
         ((1, 0), 1),  # tight at a vertex but redundant
     ],
+    "twin-first": [((-1, 0), 0), ((0, -1), 0), ((1, 1), 2), ((1, 1), 1)],
+    "infeasible-constant-2d": UNIT_TRIANGLE + [((0, 0), -1)],
     "fractional": [
         ((-1, 1), 0),
         ((Fraction(1, 3), 0), Fraction(1, 6)),

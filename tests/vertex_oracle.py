@@ -1,10 +1,11 @@
 """Brute-force vertex enumeration, kept as the reference for the DD method.
 
-Every independent d-subset of constraint boundaries is solved as an
-equality system; the feasible solutions are the vertices, and each
-vertex's active set is recomputed in Fractions against the polytope's
-full constraint list. Cost grows combinatorially with the number of
-constraints, so this belongs in tests only.
+The integer rows are derived here from the Fraction constraints, sharing
+no code with the enumerator. Every independent d-subset of their
+boundaries is solved as an equality system; the feasible solutions are
+the vertices, and each vertex's active set is recomputed in Fractions
+against the polytope's full constraint list. Cost grows combinatorially
+with the number of constraints, so this belongs in tests only.
 """
 
 from fractions import Fraction
@@ -12,7 +13,26 @@ from math import gcd, lcm
 
 import numpy as np
 
-from powerpoly.polytope import HPolytope, Vertex, _preprocess, _scaled_rows
+from powerpoly.polytope import HPolytope, Vertex
+
+
+def _oracle_rows(poly: HPolytope):
+    """Distinct nonconstant primitive integer rows, or None if one is 0 <= b < 0.
+
+    Each row is scaled by the lcm of its denominators, then divided by
+    the gcd of its entries; exact duplicates go, first occurrence kept.
+    """
+    rows = []
+    for con in poly.constraints:
+        den = lcm(con.b.denominator, *(c.denominator for c in con.a))
+        row = [c.numerator * (den // c.denominator) for c in (*con.a, con.b)]
+        g = gcd(*row) or 1
+        a, b = tuple(c // g for c in row[:-1]), row[-1] // g
+        if any(a):
+            rows.append((a, b))
+        elif b < 0:
+            return None
+    return list(dict.fromkeys(rows))
 
 
 def _solve_echelon(ech: list[list[int]], pivots: list[int], d: int):
@@ -122,7 +142,7 @@ def _filter_feasible(rows: list[tuple[tuple[int, ...], int]], candidates: set) -
 def oracle_vertices(poly: HPolytope) -> list[Vertex]:
     """Vertices by brute force, sorted lexicographically; never cached."""
     d = poly.dim
-    pre = _preprocess(_scaled_rows(poly.constraints)[0])
+    pre = _oracle_rows(poly)
     verts: list[Vertex] = []
     if pre is None:
         pass
