@@ -131,48 +131,32 @@ class WeightedGame:
         self._scale = scale
         self._int_quota = int(quota * scale)
 
+        # light[m] is the bit of a lightest member of m. Weights are >= 0, so
+        # a winning m is minimal iff it loses without a lightest member, and
+        # a losing m is maximal iff it wins with a lightest outsider.
         size = 1 << self.n
         table = [0] * size
+        light = [0] * size
         for m in range(1, size):
             low = m & -m
-            table[m] = table[m ^ low] + int_weights[low.bit_length() - 1]
+            rest = m ^ low
+            w = int_weights[low.bit_length() - 1]
+            table[m] = table[rest] + w
+            light[m] = light[rest] if rest and table[light[rest]] < w else low
         self._mask_weight = table
 
         q = self._int_quota
         full = size - 1
-        mwc = []
-        mlc = []
-        for m in range(size):
-            if table[m] >= q:
-                rest = m
-                minimal = True
-                while rest:
-                    low = rest & -rest
-                    if table[m ^ low] >= q:
-                        minimal = False
-                        break
-                    rest ^= low
-                if minimal:
-                    mwc.append(m)
-            else:
-                rest = full ^ m
-                maximal = True
-                while rest:
-                    low = rest & -rest
-                    if table[m | low] < q:
-                        maximal = False
-                        break
-                    rest ^= low
-                if maximal:
-                    mlc.append(m)
-        self.minimal_winning = frozenset(mwc)
-        self.maximal_losing = frozenset(mlc)
-        covered = 0
-        for m in mwc:
-            covered |= m
-        self.dummies = frozenset(
-            i + 1 for i in range(self.n) if not covered >> i & 1
+        self.minimal_winning = frozenset(
+            m for m in range(size) if table[m] >= q > table[m ^ light[m]]
         )
+        self.maximal_losing = frozenset(
+            m for m in range(size) if table[m] < q <= table[m | light[full ^ m]]
+        )
+        covered = 0
+        for m in self.minimal_winning:
+            covered |= m
+        self.dummies = frozenset(i + 1 for i in range(self.n) if not covered >> i & 1)
 
     def is_winning(self, mask: Coalition) -> bool:
         if mask < 0 or mask >> self.n:

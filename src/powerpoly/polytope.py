@@ -52,6 +52,7 @@ __all__ = [
     "DegenerateGeometryError",
     "EstimateInconclusiveError",
     "HPolytope",
+    "MAX_MC_SAMPLES",
     "MAX_POLYTOPE_ROWS",
     "Simplex",
     "Vertex",
@@ -75,6 +76,11 @@ __all__ = [
 # weight polytope has |MWC| * |MLC| rows, which passes it from 10 voters
 # on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
 MAX_POLYTOPE_ROWS = 20_000
+
+# Most samples one Monte Carlo estimate draws: the largest power of two the
+# slowest measured case, the representation polytope of [33;11,10,...,1] at
+# 3.1-3.4M samples/s on a 2-vCPU VM, draws within 10 s (2^24 in 5.3 s).
+MAX_MC_SAMPLES = 1 << 24
 
 ROW_BLOCK = 32  # constraint rows each Monte Carlo chunk is tested against at once
 COLUMN_CHUNK = 1 << 13  # points of a Monte Carlo batch drawn and tested at once
@@ -698,11 +704,11 @@ def estimate_centroid_mc(
 
     Proposal region: any coordinate block the constraints confine to a
     simplex is drawn from that simplex (flat Dirichlet), the remaining
-    coordinates from their bounding-box intervals. Box, block and the
-    float rows tested all come from the polytope's integer rows. A float
-    row is the integer row when that is the constraint itself, and the
-    constraint's coefficients rounded as float(Fraction) rounds them
-    otherwise.
+    coordinates from their bounding-box intervals; the box is built only
+    when such a coordinate is left. Block, box and the float rows tested
+    all come from the polytope's integer rows. A float row is the integer
+    row when that is the constraint itself, and the constraint's
+    coefficients rounded as float(Fraction) rounds them otherwise.
 
     Each batch draws its box coordinates first, then goes through its
     points COLUMN_CHUNK at a time: a chunk draws its simplex block (the
@@ -718,27 +724,33 @@ def estimate_centroid_mc(
     errors) per coordinate, summed point after point in drawn order.
     Deterministic for a fixed seed.
 
-    Raises EstimateInconclusiveError when fewer than two samples land
-    inside the polytope, since one point admits no error estimate. The
-    share that lands falls steeply with the dimension (README "Scale"
-    has measured rates): on game polytopes that happens on most games
-    beyond 6 voters (weight) or 5 voters (representation).
+    Raises ScaleExceededError past MAX_MC_SAMPLES samples, before any
+    set-up or draw. Raises EstimateInconclusiveError when fewer than two
+    samples land inside the polytope, since one point admits no error
+    estimate. The share that lands falls steeply with the dimension
+    (README "Scale" has measured rates): on game polytopes that happens
+    on most games beyond 6 voters (weight) or 5 voters (representation).
     """
-    import numpy as np
-
     if samples < 1:
         raise ValueError("samples must be positive")
+    if samples > MAX_MC_SAMPLES:
+        raise ScaleExceededError(
+            f"{samples} samples requested, more than the supported {MAX_MC_SAMPLES}"
+        )
     d = poly.dim
     if d == 0:
         return (), ()
+    import numpy as np
+
     rows, scales = _rows(poly)
-    box = _bounding_box(d, rows)
-    if any(l > h for l, h in box):
-        raise EstimateInconclusiveError("bounding box is empty")
     block, scale = _simplex_block(rows)
     free = [i for i in range(d) if i not in block]
-    lo = np.array([float(box[i][0]) for i in free])
-    hi = np.array([float(box[i][1]) for i in free])
+    if free:
+        box = _bounding_box(d, rows)
+        if any(l > h for l, h in box):
+            raise EstimateInconclusiveError("bounding box is empty")
+        lo = np.array([float(box[i][0]) for i in free])
+        hi = np.array([float(box[i][1]) for i in free])
     # float(Fraction) is the correctly rounded p / q, and so is the int
     # true division c * g / den of the same rational
     float_rows = [

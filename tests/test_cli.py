@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,10 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
-from powerpoly import integer_reps, polytope
+from powerpoly import integer_reps, parse_game, polytope
 from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
-from powerpoly.polytope import MAX_POLYTOPE_ROWS
+from powerpoly.exact_math import decimal_str
+from powerpoly.polytope import MAX_MC_SAMPLES, MAX_POLYTOPE_ROWS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -271,6 +273,23 @@ class TestPolytopeCommand:
         assert "6627560 constraint rows" in err
         assert f"supported {MAX_POLYTOPE_ROWS}" in err
 
+    def test_samples_past_the_cap_exit_3_before_drawing(
+        self, capsys, monkeypatch
+    ):
+        def set_up(rows):
+            raise AssertionError("Monte Carlo set-up started")
+
+        monkeypatch.setattr(polytope, "_simplex_block", set_up)
+        code, out, err = run(
+            capsys,
+            "polytope", "--kind", "weight", "--estimate-centroid-mc",
+            "--samples", str(MAX_MC_SAMPLES + 1), "--seed", "1",
+            "--game", "[3;2,1,1]",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+        assert f"supported {MAX_MC_SAMPLES}" in err
+
     def test_single_sample_is_inconclusive(self, capsys):
         # one accepted point admits no error bar, whatever the seed
         code, _, err = run(
@@ -334,6 +353,72 @@ class TestIntrepsCommand:
         assert lines[1].startswith("100,1601,0.608832,0.195584,0.195584,")
         assert lines[2].startswith("1000,166001,0.610888,0.194556,0.194556,")
         assert lines[3] == "# limit: 11/18 7/36 7/36"
+
+    # (game, --with-quota) -> count and average at --total 10
+    TOTAL_TEN = {
+        ("[2;1,1,1]", False): (6, ["1/3", "1/3", "1/3"]),
+        ("[2;1,1,1]", True): (12, ["1/3", "1/3", "1/3"]),
+        ("[3;2,1,1]", False): (11, ["32/55", "23/110", "23/110"]),
+        ("[3;2,1,1]", True): (14, ["4/7", "3/14", "3/14"]),
+    }
+
+    @pytest.mark.parametrize("game,with_quota", list(TOTAL_TEN))
+    def test_total_json_matches_the_text(self, capsys, game, with_quota):
+        argv = ["intreps", "--total", "10", "--game", game, "--precision", "3"]
+        argv += ["--with-quota"] * with_quota
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        count, average = self.TOTAL_TEN[game, with_quota]
+        assert doc == {
+            "game": parse_game(game).to_spec(),
+            "total": 10,
+            "with_quota": with_quota,
+            "count": count,
+            "average": average,
+            "decimals": [decimal_str(Fraction(v), 3) for v in average],
+        }
+        assert run(capsys, *argv) == (
+            0,
+            f"count: {count}\n"
+            f"average: {' '.join(average)}\n"
+            f"decimals: {' '.join(doc['decimals'])}\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("game,with_quota", list(TOTAL_TEN))
+    def test_convergence_json_matches_the_text(self, capsys, game, with_quota):
+        argv = ["intreps", "--convergence", "5,10", "--game", game]
+        argv += ["--precision", "3"] + ["--with-quota"] * with_quota
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert list(doc) == ["game", "with_quota", "rows", "limit"]
+        assert (doc["game"], doc["with_quota"]) == (
+            parse_game(game).to_spec(), with_quota
+        )
+        assert doc["limit"]["kind"] == ("avg-rep" if with_quota else "avg-weight")
+        assert [row["total"] for row in doc["rows"]] == [5, 10]
+        last = doc["rows"][-1]
+        assert (last["count"], last["average"]) == self.TOTAL_TEN[game, with_quota]
+        _, text, _ = run(capsys, *argv)
+        _, *lines, limit = text.splitlines()
+        assert len(lines) == len(doc["rows"])
+        for row, line in zip(doc["rows"], lines):
+            cells = line.split(",")
+            assert cells[:2] == [str(row["total"]), str(row["count"])]
+            assert cells[2:-1] == row["decimals"]
+            assert cells[-1] == decimal_str(Fraction(row["l1_to_limit"]), 3)
+        assert limit == "# limit: " + " ".join(doc["limit"]["values"])
+
+    def test_zero_places(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "intreps", "--total", "10", "--game", "[3;2,1,1]",
+            "--precision", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "decimals: 1 0 0"
 
     def test_requires_total_or_convergence(self, capsys):
         code, _, err = run(capsys, "intreps", "--game", "[2;1,1,1]")

@@ -53,6 +53,10 @@ class TestDecimalStr:
     def test_exact_terminating_decimal(self):
         assert decimal_str(Fraction(1, 8), 6) == "0.125000"
 
+    def test_zero_places_round_half_to_even(self):
+        assert decimal_str(Fraction(1, 2), 0) == "0"
+        assert decimal_str(Fraction(3, 2), 0) == "2"
+
     def test_thousand_places(self):
         out = decimal_str(Fraction(1, 3), 1000)
         assert out == "0." + "3" * 1000

@@ -11,6 +11,7 @@ from powerpoly import (
     NormalizedRepresentation,
     ScaleExceededError,
     WeightedGame,
+    canonical_games,
     coalition,
     is_feasible_weights,
     is_representation,
@@ -131,6 +132,14 @@ class TestParse:
     def test_voter_cap(self):
         with pytest.raises(ScaleExceededError):
             parse_game("[1;" + ",".join("1" * 17) + "]")
+
+    def test_needs_a_voter(self):
+        with pytest.raises(GameFormatError, match="at least one voter"):
+            WeightedGame(1, [])
+
+    def test_catalogue_needs_a_voter(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            canonical_games(0)
 
     def test_round_trip_on_canonical_specs(self, corpus):
         for game in corpus:
@@ -405,6 +414,34 @@ def test_structure_invariants_on_random_games(game):
     assert game.maximal_losing == brute_maximal_losing(game)
     assert game.dual().dual() == game
     assert is_representation(game, game.quota, game.weights)
+
+
+@st.composite
+def fractional_games(draw):
+    """1-8 voters, weights p/q with p in 0..7 (zeros and ties) and q in
+    {1, 2, 3, 7}; the quota is a coalition's weight or a share of the
+    total, so winning coalitions often weigh exactly the quota."""
+    n = draw(st.integers(1, 8))
+    weight = st.builds(Fraction, st.integers(0, 7), st.sampled_from([1, 2, 3, 7]))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    total = sum(weights)
+    assume(total > 0)
+    mask = draw(st.integers(1, (1 << n) - 1))
+    hit = sum(w for i, w in enumerate(weights) if mask >> i & 1)
+    if not hit or draw(st.booleans()):
+        hit = total * Fraction(draw(st.integers(1, 60)), 60)
+    return WeightedGame(hit, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fractional_games())
+def test_structure_matches_brute_force_on_fractional_games(game):
+    mwc = brute_minimal_winning(game)
+    assert game.minimal_winning == mwc
+    assert game.maximal_losing == brute_maximal_losing(game)
+    assert game.dummies == {
+        i for i in range(1, game.n + 1) if not any(m >> (i - 1) & 1 for m in mwc)
+    }
 
 
 @settings(max_examples=60, deadline=None)

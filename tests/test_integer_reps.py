@@ -9,8 +9,10 @@ from powerpoly import (
     GameFormatError,
     ScaleExceededError,
     convergence_experiment,
+    convergence_to_json,
     enumerate_integer_feasible_weights,
     enumerate_integer_representations,
+    grid_summary_to_json,
     integer_reps,
     is_representation,
     parse_game,
@@ -226,6 +228,17 @@ class TestConvergence:
     def test_rejects_non_ascending_totals(self):
         with pytest.raises(ValueError):
             convergence_experiment(parse_game("[3;2,1,1]"), (100, 100))
+
+
+def test_json_renderers_refuse_past_thousand_places():
+    game = parse_game("[3;2,1,1]")
+    summary = enumerate_integer_feasible_weights(game, 10)
+    table = convergence_experiment(game, [5, 10])
+    assert grid_summary_to_json(game, summary, 1000)["count"] == 11
+    with pytest.raises(ValueError, match="at most 1000"):
+        grid_summary_to_json(game, summary, 1001)
+    with pytest.raises(ValueError, match="at most 1000"):
+        convergence_to_json(game, table, 1001)
 
 
 class TestConvergenceScale:

@@ -52,6 +52,16 @@ UNIT_TETRA = [
 ]
 
 
+class TestInputChecks:
+    def test_negative_dimension(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            HPolytope(-1, [])
+
+    def test_constraint_arity_must_match_dimension(self):
+        with pytest.raises(ValueError, match="arity"):
+            HPolytope(2, [Constraint((Fraction(1),), Fraction(0))])
+
+
 class TestWeightPolytope:
     def test_worked_example_vertices(self):
         poly = build_weight_polytope(parse_game("[3;2,1,1]"))
@@ -402,6 +412,26 @@ class TestMonteCarlo:
         poly = poly_from(1, [((1,), 0), ((-1,), -1)])
         with pytest.raises(EstimateInconclusiveError):
             estimate_centroid_mc(poly, 100, seed=3)
+
+    def test_empty_polytope_inside_its_simplex_block_is_inconclusive(self):
+        # the block covers both coordinates, so no box is built and the
+        # sampler itself finds the polytope empty
+        poly = poly_from(2, UNIT_TRIANGLE + [((-1, 0), -2)])
+        with pytest.raises(EstimateInconclusiveError, match="^only 0 of 100 "):
+            estimate_centroid_mc(poly, 100, seed=3)
+
+    def test_sample_count_past_the_cap_is_refused_before_set_up(
+        self, monkeypatch
+    ):
+        def set_up(rows):
+            raise LookupError("set-up started")
+
+        monkeypatch.setattr(polytope, "_simplex_block", set_up)
+        poly = poly_from(2, UNIT_TRIANGLE)
+        with pytest.raises(ScaleExceededError, match="more than the supported"):
+            estimate_centroid_mc(poly, polytope.MAX_MC_SAMPLES + 1, seed=1)
+        with pytest.raises(LookupError):
+            estimate_centroid_mc(poly, polytope.MAX_MC_SAMPLES, seed=1)
 
 
 class TestJsonDump:
