@@ -17,6 +17,7 @@ from .game_core import (
     WeightedGame,
     coalition,
     coalition_str,
+    desirability_classes,
     is_feasible_weights,
     is_representation,
     l1_distance,

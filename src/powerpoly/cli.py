@@ -143,29 +143,30 @@ def _cmd_polytope(args) -> int:
             doc["seed"] = args.seed
         _emit_json(doc)
         return 0
-    printed = False
+    # every line is computed before the first is written, so a refused
+    # or inconclusive estimate leaves stdout empty
+    lines = []
     if args.vertices:
         verts = enumerate_vertices(poly)
-        print(" ".join("(" + ", ".join(str(c) for c in v.coords) + ")" for v in verts))
-        printed = True
+        lines.append(
+            " ".join("(" + ", ".join(str(c) for c in v.coords) + ")" for v in verts)
+        )
     if args.volume:
-        print(volume(poly))
-        printed = True
+        lines.append(str(volume(poly)))
     if args.moments:
-        print(_values_line(moments(poly)))
-        printed = True
+        lines.append(_values_line(moments(poly)))
     if args.estimate_centroid_mc:
         est, err = estimate_centroid_mc(poly, args.samples, args.seed)
         places = args.precision
-        print("mc centroid: " + " ".join(f"{v:.{places}f}" for v in est))
-        print("mc stderr: " + " ".join(f"{v:.{places}f}" for v in err))
-        printed = True
-    if not printed:
+        lines.append("mc centroid: " + " ".join(f"{v:.{places}f}" for v in est))
+        lines.append("mc stderr: " + " ".join(f"{v:.{places}f}" for v in err))
+    if not lines:
         verts = enumerate_vertices(poly)
-        print(f"dim: {poly.dim}")
-        print(f"vertices: {len(verts)}")
-        print(f"volume: {volume(poly)}")
-        print(f"centroid: {_values_line(centroid(poly))}")
+        lines.append(f"dim: {poly.dim}")
+        lines.append(f"vertices: {len(verts)}")
+        lines.append(f"volume: {volume(poly)}")
+        lines.append(f"centroid: {_values_line(centroid(poly))}")
+    print("\n".join(lines))
     return 0
 
 

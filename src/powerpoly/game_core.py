@@ -28,6 +28,7 @@ __all__ = [
     "WeightedGame",
     "coalition",
     "coalition_str",
+    "desirability_classes",
     "is_feasible_weights",
     "is_representation",
     "l1_distance",
@@ -241,6 +242,32 @@ def parse_game(text: str) -> WeightedGame:
     except ValueError as exc:
         raise GameFormatError(f"bad weight entry: {exc}") from None
     return WeightedGame(quota, weights)
+
+
+def desirability_classes(game: WeightedGame) -> tuple[tuple[int, ...], ...]:
+    """Voters in decreasing weight order, in runs of equally desirable ones.
+
+    Ties in weight keep voter order. Voter i is more desirable than j
+    when some coalition without either wins with i and loses with j; a
+    weighted game ranks every pair that way or calls it equal, and the
+    heavier voter is never the less desirable, so each class is a run of
+    the weight order and only neighbours need a test. For w_i >= w_j,
+    i is strictly more desirable exactly when some minimal winning
+    coalition holds i but not j and loses once j replaces i.
+    """
+    order = sorted(range(game.n), key=lambda i: -game.weights[i])
+    table, q = game._mask_weight, game._int_quota
+    classes = [[order[0] + 1]]
+    for i, j in zip(order, order[1:]):
+        swap = 1 << i | 1 << j
+        if game.weights[i] != game.weights[j] and any(
+            table[m ^ swap] < q
+            for m in game.minimal_winning
+            if m >> i & 1 and not m >> j & 1
+        ):
+            classes.append([])
+        classes[-1].append(j + 1)
+    return tuple(map(tuple, classes))
 
 
 def _mask_sum(values: Sequence[Fraction], mask: int) -> Fraction:

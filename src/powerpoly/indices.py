@@ -15,7 +15,12 @@ from math import factorial
 from typing import Sequence
 
 from .exact_math import decimal_str
-from .game_core import ScaleExceededError, WeightedGame, is_feasible_weights
+from .game_core import (
+    ScaleExceededError,
+    WeightedGame,
+    desirability_classes,
+    is_feasible_weights,
+)
 from .polytope import (
     build_representation_polytope,
     build_weight_polytope,
@@ -185,44 +190,21 @@ def is_representation_compatible_at(
     return is_feasible_weights(game, index.values)
 
 
-def _swap_bits(mask: int, p: int, q: int) -> int:
-    if (mask >> p & 1) == (mask >> q & 1):
-        return mask
-    return mask ^ ((1 << p) | (1 << q))
-
-
-def _transposition_automorphisms(game: WeightedGame) -> list[tuple[int, int]]:
-    """Voter pairs whose swap leaves the coalition structure unchanged.
-
-    Voters with equal weights always qualify; the structural test also
-    catches symmetric voters whose given weights happen to differ.
-    """
-    mwc = game.minimal_winning
-    out = []
-    for i in range(game.n):
-        for j in range(i + 1, game.n):
-            if game.weights[i] != game.weights[j]:
-                swapped = frozenset(_swap_bits(s, i, j) for s in mwc)
-                if swapped != mwc:
-                    continue
-            out.append((i + 1, j + 1))
-    return out
-
-
 def check_axioms(game: WeightedGame, index: IndexVector) -> AxiomReport:
     """Evaluate the classic index axioms plus representation compatibility.
 
-    Symmetry means equal scores for interchangeable voters; positivity
-    means nonnegative scores with at least one positive; efficiency means
-    the scores sum to one; the dummy property means dummies score zero
-    (vacuously true without dummies).
+    Symmetry means equal scores for interchangeable voters, those in one
+    class of desirability_classes; positivity means nonnegative scores
+    with at least one positive; efficiency means the scores sum to one;
+    the dummy property means dummies score zero (vacuously true without
+    dummies).
     """
     values = index.values
     if len(values) != game.n:
         raise ValueError("index length does not match the game")
     symmetric = all(
-        values[i - 1] == values[j - 1]
-        for i, j in _transposition_automorphisms(game)
+        len({values[v - 1] for v in cls}) == 1
+        for cls in desirability_classes(game)
     )
     positive = all(v >= 0 for v in values) and any(v > 0 for v in values)
     efficient = sum(values, Fraction(0)) == 1

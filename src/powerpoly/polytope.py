@@ -23,26 +23,36 @@ integer determinants (Bareiss) of each cell's homogeneous ray rows
 denominator, so the only Fractions are the final totals. The only
 floating point in this module sits in the Monte Carlo estimator, and
 only it imports numpy, on its first call: building a polytope and every
-exact stage run without numpy loaded. It tests each batch of points in
-column chunks, held coordinate-major with one row per coordinate, so it
-holds only one chunk times ROW_BLOCK slacks and one batch's accepted
-points at once. It draws a simplex block as standard exponentials over
-their sum (bitwise numpy's flat Dirichlet) and tests float copies of the
-integer rows, so its estimates are those of the plain all-rows rejection
-sampler.
+exact stage run without numpy loaded. A polytope built from a game keeps
+the game, and the estimator draws its weights from the chamber where
+they fall in the order of the game's voter classes
+(game_core.desirability_classes), then averages each accepted point over
+each class of equally desirable voters. Any other polytope has its
+simplex block drawn as standard exponentials over their sum (bitwise
+numpy's flat Dirichlet) and its other coordinates from a bounding box,
+and its estimates are those of the plain all-rows rejection sampler.
+Rows that hold on the whole proposal region are not tested. Points are
+drawn and tested in column chunks, held coordinate-major, and summed as
+they are accepted, so the estimator holds one chunk times ROW_BLOCK
+slacks at once and never a batch of accepted points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, chain, compress
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact_math import bareiss
-from .game_core import ScaleExceededError, WeightedGame, coalition_str
+from .game_core import (
+    ScaleExceededError,
+    WeightedGame,
+    coalition_str,
+    desirability_classes,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,8 +92,17 @@ MAX_POLYTOPE_ROWS = 20_000
 # 3.1-3.4M samples/s on a 2-vCPU VM, draws within 10 s (2^24 in 5.3 s).
 MAX_MC_SAMPLES = 1 << 24
 
-ROW_BLOCK = 32  # constraint rows each Monte Carlo chunk is tested against at once
+ROW_BLOCK = 32  # most constraint rows a Monte Carlo chunk is tested against at once
 COLUMN_CHUNK = 1 << 13  # points of a Monte Carlo batch drawn and tested at once
+
+# A row that holds on all of a Monte Carlo proposal region goes untested
+# only while 4 d + 16 units of 2^-53 of its size, sum_i |a_i| max|x_i| +
+# |b| over the region, stay within the 1e-12 slack tolerance: a proposed
+# coordinate lies within 2 d + 5 such units of a point of the region, the
+# float row within one of the exact row, and the slack's float sum adds
+# d + 2. So the row could never reject a proposal. This is that bound on
+# the size, times 4 d + 16.
+_DEAD_ROW_SIZE = 1e-12 * 2.0**53
 
 _SMALL = {v: Fraction(v) for v in range(-2, 3)}  # every entry of a game row
 
@@ -146,7 +165,10 @@ class HPolytope:
 
 
 def _game_polytope(
-    dim: int, rows: list[tuple[tuple[int, ...], int]], labels: list[str]
+    game: WeightedGame,
+    dim: int,
+    rows: list[tuple[tuple[int, ...], int]],
+    labels: list[str],
 ) -> HPolytope:
     """Polytope of a builder's integer rows a.x <= b, which it keeps.
 
@@ -156,7 +178,8 @@ def _game_polytope(
     rows have a +-1 entry, and a weight row has b = +-1 unless its two
     coalitions agree on the last voter, when they differ on another one,
     whose entry is +-1. So the rows are the estimator's and the vertex
-    enumerator's integer rows as they stand, each with scale 1.
+    enumerator's integer rows as they stand, each with scale 1. The
+    polytope also keeps the game, whose voter classes the estimator uses.
     """
     poly = HPolytope(
         dim,
@@ -166,6 +189,7 @@ def _game_polytope(
         ),
     )
     poly._cache["rows"] = rows, [(1, 1)] * len(rows)
+    poly._cache["game"] = game
     return poly
 
 
@@ -200,7 +224,7 @@ def build_weight_polytope(game: WeightedGame) -> HPolytope:
         for t_row, t_last, t_name in losers:
             rows.append((tuple(map(sub, t_row, s_row)), s_last - t_last))
             labels.append(f"w({s_name}) >= w({t_name})")
-    return _game_polytope(d, rows, labels)
+    return _game_polytope(game, d, rows, labels)
 
 
 def build_representation_polytope(game: WeightedGame) -> HPolytope:
@@ -226,7 +250,7 @@ def build_representation_polytope(game: WeightedGame) -> HPolytope:
         row = tuple((t >> i & 1) - t_last for i in range(n - 1))
         rows.append(((-1,) + row, -t_last))
         labels.append(f"w({coalition_str(t)}) <= q")
-    return _game_polytope(n, rows, labels)
+    return _game_polytope(game, n, rows, labels)
 
 
 def constraint_count(game: WeightedGame, representation: bool = False) -> int:
@@ -676,6 +700,23 @@ def _simplex_block(
     return best
 
 
+def _exponentials(
+    rng: np.random.Generator, m: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """m draws of k standard exponentials, and one over each draw's sum.
+
+    The sums run left to right, as numpy's flat Dirichlet adds its parts.
+    """
+    import numpy as np
+
+    exps = rng.standard_exponential((m, k))
+    inv = exps[:, 0].copy()
+    for j in range(1, k):
+        inv += exps[:, j]
+    np.divide(1.0, inv, out=inv)
+    return exps, inv
+
+
 def _flat_dirichlet(rng: np.random.Generator, out: Sequence[np.ndarray]) -> None:
     """Fill k rows with the first k parts of flat Dirichlet draws on k + 1.
 
@@ -687,14 +728,225 @@ def _flat_dirichlet(rng: np.random.Generator, out: Sequence[np.ndarray]) -> None
     """
     import numpy as np
 
-    k = len(out)
-    exps = rng.standard_exponential((len(out[0]), k + 1))
-    inv = exps[:, 0].copy()
-    for j in range(1, k + 1):
-        inv += exps[:, j]
-    np.divide(1.0, inv, out=inv)
+    exps, inv = _exponentials(rng, len(out[0]), len(out) + 1)
     for j, row in enumerate(out):
         np.multiply(exps[:, j], inv, out=row)
+
+
+def _chamber(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the n rows of `out` with uniform draws from the simplex's chamber.
+
+    Column j of the rows is one point of C = {w_1 >= ... >= w_n >= 0,
+    sum w = 1}. From n standard exponentials e_i (1-based), drawn as for
+    a flat Dirichlet point u_i = e_i / sum e, it sets w_i = sum_{j >= i}
+    u_j / j, summed from j = n down. That linear map sends the simplex's
+    vertex e_j to C's vertex v_j, 1/j on each of the first j rows, so the
+    draw is uniform on C.
+    """
+    import numpy as np
+
+    n = len(out)
+    exps, inv = _exponentials(rng, out.shape[1], n)
+    np.divide(exps[:, n - 1], n, out=out[n - 1])
+    for j in range(n - 2, -1, -1):
+        np.divide(exps[:, j], j + 1, out=out[j])
+        out[j] += out[j + 1]
+    np.multiply(out, inv, out=out)
+
+
+class _Proposal(NamedTuple):
+    """What estimate_centroid_mc draws and tests, set up once per polytope.
+
+    A point is held as `size` rows: the chart coordinates, or for a game
+    its quota coordinate (if any) and then every voter's weight in rank
+    order, the voter the chart drops included. Its output columns are
+    sums of point rows; with `rest` set, one more column is 1 minus
+    columns[rest:], the weight the other classes leave to the last one.
+    """
+
+    size: int
+    free: list[int]  # rows drawn uniformly from [lo, hi]
+    lo: np.ndarray
+    hi: np.ndarray
+    block: list[int]  # rows drawn from the simplex block or the chamber
+    scale: float | None  # the simplex block's scale; None draws the chamber
+    live: np.ndarray  # the constraint rows tested, the most cutting first
+    a: np.ndarray  # their float rows, over a point's rows
+    b: np.ndarray
+    columns: list[tuple[int, int]]  # point rows [start, stop) summed per column
+    rest: int | None
+    coords: list[tuple[int, int]]  # (column, voters in it) per coordinate
+
+    @property
+    def width(self) -> int:
+        return len(self.columns) + (self.rest is not None)
+
+
+def _proposal(poly: HPolytope) -> _Proposal:
+    """The estimator's proposal region, live rows and output columns.
+
+    A polytope built from a game of n >= 2 voters lies where a more
+    desirable voter never weighs less, and it is unchanged when equally
+    desirable voters swap. So its weights are drawn from the chamber C
+    of weights in decreasing rank order, and each accepted point is
+    averaged over every class of equally desirable voters: a column sums
+    a class's weights, and the last class takes what the others leave of
+    the unit sum. Any other polytope draws its simplex block, if it has
+    one, and keeps one column per coordinate. The remaining coordinates
+    come from their bounding-box intervals; the quota's interval is also
+    cut to the values that some weights in C leave it.
+
+    A row is not tested when it holds at every vertex of the proposal
+    region (a block or chamber vertex with the worst box corner), which
+    one product of the integer row matrix with the vertices decides
+    exactly, and it is small enough that rounding cannot take a
+    proposal's slack below the -1e-12 tolerance; game rows, with entries
+    in -2..2, always are. The other rows are tested most violated first,
+    at the mean of those vertices, so that most points leave after few
+    rows; the order changes neither which points are accepted nor their
+    order.
+    """
+    import numpy as np
+
+    d = poly.dim
+    rows, scales = _rows(poly)
+    game = poly._cache.get("game")
+    if game is not None and game.n > 1:
+        n = game.n
+        classes = desirability_classes(game)
+        first = d - (n - 1)  # quota coordinates ahead of the weights
+        rank = {v: r for r, v in enumerate(chain.from_iterable(classes))}
+        size = first + n
+        layout = list(range(first)) + [first + rank[v] for v in range(1, n)]
+        block, scale = list(range(first, size)), None
+        # C's vertex v_j puts 1/j on the j most desirable voters
+        v_den = lcm(*range(1, n + 1))
+        vertices = [
+            [0] * first + [v_den // j if rank[v] < j else 0 for v in range(1, n)]
+            for j in range(1, n + 1)
+        ]
+        ends = list(accumulate(map(len, classes), initial=first))
+        columns = [(i, i + 1) for i in range(first)]
+        columns += list(zip(ends[:-2], ends[1:-1]))
+        rest = first
+        of_voter = {v: c for c, cls in enumerate(classes) for v in cls}
+        coords = [(i, 1) for i in range(first)] + [
+            (first + of_voter[v], len(classes[of_voter[v]])) for v in range(1, n)
+        ]
+        free = list(range(first))
+    else:
+        size = d
+        layout = list(range(d))
+        block, exact_scale = _simplex_block(rows)
+        scale = float(exact_scale)
+        v_den = exact_scale.denominator
+        vertices = [[0] * d] + [
+            [exact_scale.numerator if i == c else 0 for i in range(d)] for c in block
+        ]
+        columns = [(i, i + 1) for i in range(d)]
+        rest = None
+        coords = [(i, 1) for i in range(d)]
+        free = [i for i in range(d) if i not in block]
+    # The integer rows, held exactly in floats while below 2^53.
+    m = len(rows)
+    a_int = np.fromiter(chain.from_iterable(a for a, _ in rows), float, m * d)
+    a_int = a_int.reshape(m, d)
+    b_int = np.fromiter((b for _, b in rows), float, m)
+    box = []
+    if free:
+        box = _bounding_box(d, rows)
+        if any(l > h for l, h in box):
+            raise EstimateInconclusiveError("bounding box is empty")
+        box = [box[i] for i in free]
+        if scale is None:
+            # With its weights in C, a representation row q + a.w <= b (or
+            # -q + a.w <= b; the builder writes q with a unit coefficient)
+            # bounds q by b - a.w at the vertex of C where a.w is least.
+            slack = b_int * v_den - (a_int @ np.array(vertices, dtype=float).T).min(1)
+            (lo, hi), q = box[0], a_int[:, 0]
+            lo = max(lo, Fraction(-int(slack[q < 0].min()), v_den))
+            hi = min(hi, Fraction(int(slack[q > 0].min()), v_den))
+            box = [(lo, hi)]
+
+    # The region's vertices and box bounds over one common denominator.
+    den = lcm(v_den, *(x.denominator for x in chain(*box)))
+    v_int = [[x * (den // v_den) for x in v] for v in vertices]
+    lo_int = [int(l * den) for l, _ in box]
+    hi_int = [int(h * den) for _, h in box]
+    reach = max(map(abs, chain(*v_int, lo_int, hi_int)))
+    big = int(max(np.abs(a_int).max(initial=0), np.abs(b_int).max(initial=0)))
+    # every value and partial sum below is an integer under 2^53: exact
+    exact = big * (reach + den) * (d + 1) * len(v_int) < 2**53
+
+    a_f, b_f = a_int, b_int
+    if scales.count((1, 1)) < m:
+        # float(Fraction) is the correctly rounded p / q, and so is the
+        # int true division c * g / den of the same rational
+        a_f, b_f = a_int.copy(), b_int.copy()
+        for j, ((a, b), (g, row_den)) in enumerate(zip(rows, scales)):
+            if (g, row_den) != (1, 1):
+                a_f[j] = [c * g / row_den for c in a]
+                b_f[j] = b * g / row_den
+
+    excess = np.zeros(m)  # by how much a row fails, summed over the vertices
+    dead = np.zeros(m, dtype=bool)
+    if exact:
+        # a.x - b at each vertex, with the box corner that is worst for a
+        at = a_int @ np.array(v_int, dtype=float).T - (b_int * den)[:, None]
+        if free:
+            part = a_int[:, free]
+            at += np.maximum(part * lo_int, part * hi_int).sum(axis=1)[:, None]
+        excess = at.sum(axis=1)
+        extent = [max(abs(v[i]) for v in v_int) for i in range(d)]
+        for i, l, h in zip(free, lo_int, hi_int):
+            extent[i] = max(abs(l), abs(h))
+        size_of = np.abs(a_f) @ (np.array(extent, dtype=float) / den) + np.abs(b_f)
+        dead = (at <= 0).all(axis=1) & (size_of <= _DEAD_ROW_SIZE / (4 * d + 16))
+    live = np.flatnonzero(~dead)
+    live = live[np.argsort(-excess[live], kind="stable")]
+    a = np.zeros((len(live), size))
+    a[:, layout] = np.take(a_f, live, axis=0)
+    return _Proposal(
+        size,
+        free,
+        np.array([float(l) for l, _ in box]),
+        np.array([float(h) for _, h in box]),
+        block,
+        scale,
+        live,
+        a,
+        np.take(b_f, live),
+        columns,
+        rest,
+        coords,
+    )
+
+
+def _columns(p: _Proposal, inside: np.ndarray) -> np.ndarray:
+    """Output columns of the points in `inside`, then their squares.
+
+    One row per point, 2 * p.width wide, so numpy sums it along the slow
+    axis: one row after the other, with no pairwise summation. Each
+    column is built as one contiguous row first.
+    """
+    import numpy as np
+
+    cols = []
+    for start, stop in p.columns:
+        col = inside[start].copy()
+        for r in range(start + 1, stop):
+            col += inside[r]
+        cols.append(col)
+    if p.rest is not None:
+        col = np.ones(inside.shape[1])
+        for other in cols[p.rest :]:
+            col -= other
+        cols.append(col)
+    out = np.empty((inside.shape[1], 2 * len(cols)))
+    for c, col in enumerate(cols):
+        out[:, c] = col
+        np.multiply(col, col, out=out[:, len(cols) + c])
+    return out
 
 
 def estimate_centroid_mc(
@@ -702,34 +954,43 @@ def estimate_centroid_mc(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Centroid estimate via seeded rejection sampling.
 
-    Proposal region: any coordinate block the constraints confine to a
-    simplex is drawn from that simplex (flat Dirichlet), the remaining
-    coordinates from their bounding-box intervals; the box is built only
-    when such a coordinate is left. Block, box and the float rows tested
-    all come from the polytope's integer rows. A float row is the integer
-    row when that is the constraint itself, and the constraint's
-    coefficients rounded as float(Fraction) rounds them otherwise.
+    Proposal region (`_proposal`, set up once per polytope and kept on
+    it): a polytope built from a game draws its weights from the chamber
+    of weights in decreasing rank order, which multiplies the share
+    accepted by n! / (c_1! ... c_k!) for voter classes of c_i equally
+    desirable voters (by nothing when all voters are tied), and its
+    quota from the interval that the chamber leaves it; any other
+    polytope draws a coordinate block the constraints confine to a
+    simplex from that simplex (flat Dirichlet). Other coordinates come
+    from their bounding-box intervals. Rows that hold on the whole
+    region are not tested. The rows tested are float copies of the
+    integer rows: the integer row when that is the constraint itself,
+    the constraint's coefficients rounded as float(Fraction) rounds them
+    otherwise.
 
     Each batch draws its box coordinates first, then goes through its
-    points COLUMN_CHUNK at a time: a chunk draws its simplex block (the
+    points COLUMN_CHUNK at a time: a chunk draws its block (the
     exponentials continue one stream, so the batch's points are those of
     one draw) and is held coordinate-major, one row of points per
-    coordinate, so the block draw writes each coordinate straight into
-    its row. Each chunk is tested against ROW_BLOCK constraint rows at a
-    time, and only the points inside every block so far, in their drawn
-    order, go on to the next. So what is held at once is one chunk times
-    ROW_BLOCK slacks, however many rows the polytope has, plus one
-    batch's accepted points, and those are the same as from one test of
-    the whole batch against all rows. Returns (estimate, standard
-    errors) per coordinate, summed point after point in drawn order.
-    Deterministic for a fixed seed.
+    coordinate. It is tested against 4, 8, 16 and then ROW_BLOCK rows at
+    a time, and only the points inside every block so far, in their
+    drawn order, go on to the next. Each accepted point adds its output
+    columns (a coordinate, or the weight of a voter class) and their
+    squares to running sums, point after point in drawn order, and each
+    batch adds its sums to the totals. So what is held at once is one
+    chunk times ROW_BLOCK slacks and the batch's box coordinates, however
+    many rows and samples there are. Without a game the estimate is
+    bitwise that of the plain sampler testing whole batches against all
+    rows, but for one-coordinate polytopes, whose batch sums numpy added
+    pairwise. Returns (estimate, standard errors) per coordinate, from
+    the i.i.d. class-averaged points; equally desirable voters get equal
+    estimates. Deterministic for a fixed seed.
 
     Raises ScaleExceededError past MAX_MC_SAMPLES samples, before any
     set-up or draw. Raises EstimateInconclusiveError when fewer than two
     samples land inside the polytope, since one point admits no error
     estimate. The share that lands falls steeply with the dimension
-    (README "Scale" has measured rates): on game polytopes that happens
-    on most games beyond 6 voters (weight) or 5 voters (representation).
+    (README "Scale" has measured rates).
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -742,47 +1003,37 @@ def estimate_centroid_mc(
         return (), ()
     import numpy as np
 
-    rows, scales = _rows(poly)
-    block, scale = _simplex_block(rows)
-    free = [i for i in range(d) if i not in block]
-    if free:
-        box = _bounding_box(d, rows)
-        if any(l > h for l, h in box):
-            raise EstimateInconclusiveError("bounding box is empty")
-        lo = np.array([float(box[i][0]) for i in free])
-        hi = np.array([float(box[i][1]) for i in free])
-    # float(Fraction) is the correctly rounded p / q, and so is the int
-    # true division c * g / den of the same rational
-    float_rows = [
-        (a, b) if g == den == 1 else ([c * g / den for c in a], b * g / den)
-        for (a, b), (g, den) in zip(rows, scales)
-    ]
-    a_mat = np.array([a for a, _ in float_rows], dtype=float).reshape(len(rows), d)
-    b_vec = np.array([b for _, b in float_rows], dtype=float)
-    row_blocks = [
-        (a_mat[r : r + ROW_BLOCK], b_vec[r : r + ROW_BLOCK, None])
-        for r in range(0, len(b_vec), ROW_BLOCK)
-    ]
+    if "mc" not in poly._cache:
+        poly._cache["mc"] = _proposal(poly)
+    p = poly._cache["mc"]
+    # the rows that cut most come first, so blocks start small and double
+    row_blocks = []
+    r = 0
+    while r < len(p.b):
+        end = r + min(4 << len(row_blocks), ROW_BLOCK)
+        row_blocks.append((p.a[r:end], p.b[r:end, None]))
+        r = end
     rng = np.random.default_rng(seed)
     kept = 0
-    acc = np.zeros(d)
-    acc_sq = np.zeros(d)
+    acc = np.zeros(2 * p.width)  # column sums, then sums of squares
     remaining = samples
     while remaining:
         batch = min(remaining, 1 << 17)
         remaining -= batch
-        if free:
-            uniform = rng.uniform(lo, hi, size=(batch, len(free))).T
-        accepted = []
+        if p.free:
+            uniform = rng.uniform(p.lo, p.hi, size=(batch, len(p.free))).T
+        run = np.zeros(2 * p.width)
         for start in range(0, batch, COLUMN_CHUNK):
             stop = min(start + COLUMN_CHUNK, batch)
-            pts = np.empty((d, stop - start))
-            if free:
-                pts[free] = uniform[:, start:stop]
-            if block:
-                _flat_dirichlet(rng, [pts[i] for i in block])
-                for i in block:
-                    pts[i] *= float(scale)
+            pts = np.empty((p.size, stop - start))
+            if p.free:
+                pts[p.free] = uniform[:, start:stop]
+            if p.scale is None:
+                _chamber(rng, pts[p.block[0] :])
+            elif p.block:
+                _flat_dirichlet(rng, [pts[i] for i in p.block])
+                for i in p.block:
+                    pts[i] *= p.scale
             inside = pts
             for a_blk, b_blk in row_blocks:
                 slack = a_blk @ inside
@@ -791,24 +1042,27 @@ def estimate_centroid_mc(
                 if not inside.shape[1]:
                     break
             if inside.shape[1]:
-                accepted.append(inside)
-        if accepted:
-            # back to one row per point, so the sums run in drawn order
-            inside = np.ascontiguousarray(np.concatenate(accepted, axis=1).T)
-            kept += len(inside)
-            acc += inside.sum(axis=0)
-            acc_sq += (inside**2).sum(axis=0)
+                kept += inside.shape[1]
+                # the first point carries the batch's running sums on, so
+                # each column adds up point after point across the chunks
+                cols = _columns(p, inside)
+                cols[0] += run
+                run = np.add.reduce(cols, axis=0)
+        acc += run
     if kept < 2:
         raise EstimateInconclusiveError(
             f"only {kept} of {samples} samples landed inside the polytope; "
             "on game polytopes rejection sampling accepts almost nothing "
-            "beyond 6 voters (weight) or 5 voters (representation), "
+            "beyond 8 voters (weight) or 7 voters (representation), "
             'see README "Scale"'
         )
-    mean = acc / kept
-    var = np.maximum((acc_sq - kept * mean**2) / (kept - 1), 0.0)
+    mean = acc[: p.width] / kept
+    var = np.maximum((acc[p.width :] - kept * mean**2) / (kept - 1), 0.0)
     stderr = np.sqrt(var / kept)
-    return tuple(float(v) for v in mean), tuple(float(v) for v in stderr)
+    return (
+        tuple(float(mean[c] / k) for c, k in p.coords),
+        tuple(float(stderr[c] / k) for c, k in p.coords),
+    )
 
 
 def polytope_to_json(poly: HPolytope) -> dict:

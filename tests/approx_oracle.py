@@ -1,15 +1,19 @@
-"""Unchunked grid scans, Fraction bounding boxes and the all-rows estimator.
+"""Unchunked grid scans, Fraction bounding boxes and the all-rows estimators.
 
 These are the approximate layers as they were before blocking: the grid
 scan tests one composition tail at a time and sums each column in int64,
 the bounding box propagates bounds in Fractions over every coordinate of
-every constraint, and the Monte Carlo estimator tests each batch of
-points against all constraint rows in one float matrix. The library
-versions must return exactly what these return (the grid scan only
-where its int64 sums cannot overflow), so they stay as the reference.
+every constraint, and the Monte Carlo estimators test each batch of
+points against all constraint rows in one float matrix. For a game's
+polytope the estimator draws each whole batch from the ordered chamber
+of weights and finds the voter classes from swaps of the coalition
+structure. The library versions must return exactly what these return
+(the grid scan only where its int64 sums cannot overflow), so they stay
+as the reference.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -135,14 +139,170 @@ def oracle_simplex_block(poly: HPolytope) -> tuple[tuple[int, ...], Fraction]:
     return best
 
 
-def oracle_estimate_centroid_mc(
-    poly: HPolytope, samples: int, seed: int
+def _swap_bits(mask: int, p: int, q: int) -> int:
+    if (mask >> p & 1) == (mask >> q & 1):
+        return mask
+    return mask ^ ((1 << p) | (1 << q))
+
+
+def oracle_transposition_automorphisms(game: WeightedGame) -> list[tuple[int, int]]:
+    """Voter pairs whose swap leaves the coalition structure unchanged.
+
+    Voters with equal weights always qualify; the structural test also
+    catches symmetric voters whose given weights happen to differ.
+    """
+    mwc = game.minimal_winning
+    out = []
+    for i in range(game.n):
+        for j in range(i + 1, game.n):
+            if game.weights[i] != game.weights[j]:
+                swapped = frozenset(_swap_bits(s, i, j) for s in mwc)
+                if swapped != mwc:
+                    continue
+            out.append((i + 1, j + 1))
+    return out
+
+
+def oracle_classes(game: WeightedGame) -> list[list[int]]:
+    """Voters in decreasing weight order, split where no swap pairs them."""
+    pairs = set(oracle_transposition_automorphisms(game))
+    order = sorted(range(1, game.n + 1), key=lambda v: -game.weights[v - 1])
+    classes = [[order[0]]]
+    for i, j in zip(order, order[1:]):
+        if (min(i, j), max(i, j)) not in pairs:
+            classes.append([])
+        classes[-1].append(j)
+    return classes
+
+
+def oracle_chamber_vertices(game: WeightedGame) -> list[list[Fraction]]:
+    """The chamber's vertices in the chart's weight coordinates.
+
+    Vertex j (1..n) puts 1/j on each of the j most desirable voters; the
+    chart drops the last voter's weight.
+    """
+    ranked = [v for cls in oracle_classes(game) for v in cls]
+    return [
+        [Fraction(int(ranked.index(v) < j), j) for v in range(1, game.n)]
+        for j in range(1, game.n + 1)
+    ]
+
+
+def oracle_quota_box(
+    poly: HPolytope, game: WeightedGame
+) -> list[tuple[Fraction, Fraction]]:
+    """The quota's interval, if poly has one, given weights in the chamber.
+
+    Each row c q + a.w <= b with c != 0 bounds q by (b - a.w) / c, and
+    over the chamber that bound is loosest where a.w is least, at a
+    vertex; the bounding box's interval bounds q too.
+    """
+    if poly.dim < game.n:
+        return []
+    vertices = oracle_chamber_vertices(game)
+    lo, hi = oracle_bounding_box(poly)[0]
+    for con in poly.constraints:
+        c = con.a[0]
+        if c:
+            least = min(sum(map(mul, con.a[1:], v), Fraction(0)) for v in vertices)
+            if c > 0:
+                hi = min(hi, (con.b - least) / c)
+            else:
+                lo = max(lo, (con.b - least) / c)
+    return [(lo, hi)]
+
+
+def oracle_dead_rows(poly: HPolytope, game: WeightedGame) -> list[int]:
+    """Rows that hold at every corner of the chamber times the quota box."""
+    quota_corners = [[]]
+    for lo, hi in oracle_quota_box(poly, game):
+        quota_corners = [c + [x] for c in quota_corners for x in (lo, hi)]
+    corners = [
+        q + w for q in quota_corners for w in oracle_chamber_vertices(game)
+    ]
+    return [
+        k
+        for k, con in enumerate(poly.constraints)
+        if all(sum(map(mul, con.a, x), Fraction(0)) <= con.b for x in corners)
+    ]
+
+
+def _oracle_chamber_estimate(
+    poly: HPolytope, game: WeightedGame, samples: int, seed: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    n, d = game.n, poly.dim
+    first = d - (n - 1)  # the quota coordinate, if any
+    classes = oracle_classes(game)
+    ranked = np.array([v for cls in classes for v in cls]) - 1
+    lo, hi = np.array(
+        [[float(l), float(h)] for l, h in oracle_quota_box(poly, game)]
+    ).reshape(first, 2).T
+    a_mat = np.array([[float(c) for c in con.a] for con in poly.constraints])
+    b_vec = np.array([float(con.b) for con in poly.constraints])
+    rng = np.random.default_rng(seed)
+    kept = 0
+    acc = np.zeros(first + len(classes))
+    acc_sq = np.zeros(first + len(classes))
+    remaining = samples
+    while remaining:
+        batch = min(remaining, 1 << 17)
+        remaining -= batch
+        quota = rng.uniform(lo, hi, size=(batch, first))
+        exps = rng.standard_exponential((batch, n))
+        total = exps[:, 0].copy()
+        for j in range(1, n):
+            total += exps[:, j]
+        # w_(i) = sum_{j >= i} e_j / j over sum e, by rank
+        tails = np.cumsum((exps / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+        by_rank = tails * (1.0 / total)[:, None]
+        weights = np.empty((batch, n))
+        weights[:, ranked] = by_rank
+        pts = np.hstack([quota, weights[:, : n - 1]])
+        inside = (b_vec[None, :] - pts @ a_mat.T >= -1e-12).all(axis=1)
+        by_rank = by_rank[inside]
+        cols = [quota[inside, i] for i in range(first)]
+        rest = np.ones(len(by_rank))
+        start = 0
+        for cls in classes[:-1]:
+            share = by_rank[:, start].copy()
+            for r in range(start + 1, start + len(cls)):
+                share += by_rank[:, r]
+            cols.append(share)
+            rest -= share
+            start += len(cls)
+        cols = np.column_stack(cols + [rest])
+        if len(cols):
+            kept += len(cols)
+            acc += np.cumsum(cols, axis=0)[-1]
+            acc_sq += np.cumsum(cols**2, axis=0)[-1]
+    if kept < 2:
+        raise EstimateInconclusiveError(
+            f"only {kept} of {samples} samples landed inside the polytope"
+        )
+    mean = acc / kept
+    var = np.maximum((acc_sq - kept * mean**2) / (kept - 1), 0.0)
+    stderr = np.sqrt(var / kept)
+    of_voter = {v: c for c, cls in enumerate(classes) for v in cls}
+    where = [(i, 1) for i in range(first)] + [
+        (first + of_voter[v], len(classes[of_voter[v]])) for v in range(1, n)
+    ]
+    return (
+        tuple(float(mean[c] / k) for c, k in where),
+        tuple(float(stderr[c] / k) for c, k in where),
+    )
+
+
+def oracle_estimate_centroid_mc(
+    poly: HPolytope, samples: int, seed: int, game: WeightedGame | None = None
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """All-rows rejection estimate; from the chamber when `game` built `poly`."""
     if samples < 1:
         raise ValueError("samples must be positive")
     d = poly.dim
     if d == 0:
         return (), ()
+    if game is not None and game.n > 1:
+        return _oracle_chamber_estimate(poly, game, samples, seed)
     box = oracle_bounding_box(poly)
     if any(l > h for l, h in box):
         raise EstimateInconclusiveError("bounding box is empty")

@@ -2,11 +2,13 @@
 
 Each must return exactly what the reference in approx_oracle.py returns:
 equal grid summaries, equal boxes, and equal Monte Carlo estimate tuples
-or the same refusal. Block sizes are patched down in places so that small
-inputs cross many block boundaries.
+or the same refusal; game polytopes are checked against the chamber
+reference, which tests every row. Block sizes are patched down in places
+so that small inputs cross many block boundaries.
 """
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -22,6 +24,7 @@ from powerpoly.polytope import (
     EstimateInconclusiveError,
     HPolytope,
     _bounding_box,
+    _chamber,
     _flat_dirichlet,
     _scaled_rows,
     _simplex_block,
@@ -31,6 +34,7 @@ from powerpoly.polytope import (
 )
 from approx_oracle import (
     oracle_bounding_box,
+    oracle_dead_rows,
     oracle_estimate_centroid_mc,
     oracle_grid_scan,
 )
@@ -40,7 +44,9 @@ from test_game_core import small_games
 
 BUILDERS = (build_weight_polytope, build_representation_polytope)
 
-# The Monte Carlo games of the benchmark's approx workload (n = 5..9).
+# The Monte Carlo games of the benchmark's approx workload (n = 5..9),
+# then one whose voters are all tied (a single class, so every weight
+# column is the constant 1/6) and one with two zero-weight dummies.
 MC_GAMES = (
     "[1;1,4,2,2,0]",
     "[2;1,3,4,3,2]",
@@ -50,6 +56,8 @@ MC_GAMES = (
     "[10;6,5,4,3,2,1,1]",
     "[13;8,6,5,4,3,2,1,1]",
     "[20;9,8,7,6,5,4,3,2,1]",
+    "[5;1,1,1,1,1,1]",
+    "[4;3,2,1,1,0,0]",
 )
 
 # Monte Carlo column chunks: single points, chunks that end off the end
@@ -137,17 +145,18 @@ def box(poly):
     return _bounding_box(poly.dim, _scaled_rows(poly.constraints)[0])
 
 
-def outcome(estimator, poly, samples, seed):
+def outcome(estimator, poly, samples, seed, *game):
     """Estimate tuple, or the refusal's message."""
     try:
-        return estimator(poly, samples, seed)
+        return estimator(poly, samples, seed, *game)
     except EstimateInconclusiveError as exc:
         return str(exc)
 
 
-def assert_same_estimate(poly, samples, seed):
+def assert_same_estimate(poly, samples, seed, game=None):
+    """The library against the reference; the chamber one if `game` built poly."""
     got = outcome(estimate_centroid_mc, poly, samples, seed)
-    want = outcome(oracle_estimate_centroid_mc, poly, samples, seed)
+    want = outcome(oracle_estimate_centroid_mc, poly, samples, seed, game)
     if isinstance(want, str):
         # the library adds a hint about where rejection stops working
         assert isinstance(got, str) and got.startswith(want), got
@@ -297,17 +306,18 @@ def test_grid_scans_on_drawn_games_up_to_total_200(game, total, with_quota):
 @pytest.mark.parametrize("builder", BUILDERS)
 @pytest.mark.parametrize("spec", MC_GAMES)
 def test_estimates_on_mc_games(spec, builder, seed):
-    poly = builder(parse_game(spec))
+    game = parse_game(spec)
+    poly = builder(game)
     # the reference holds samples x rows floats at once
     samples = min(40_000, 2_000_000 // len(poly.constraints))
-    assert_same_estimate(poly, samples, seed)
+    assert_same_estimate(poly, samples, seed, game)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
     monkeypatch.setattr(polytope, "ROW_BLOCK", 2)
-    poly = builder(parse_game("[2;1,3,4,3,2]"))
-    assert_same_estimate(poly, (1 << 17) + 999, 11)
+    game = parse_game("[2;1,3,4,3,2]")
+    assert_same_estimate(builder(game), (1 << 17) + 999, 11, game)
 
 
 @pytest.mark.parametrize("row_block", [1, 3, 32])
@@ -331,11 +341,12 @@ def test_estimates_on_hand_built_polytopes_in_column_chunks(monkeypatch, name, c
 def test_estimates_on_mc_games_in_column_chunks(monkeypatch, builder, chunk):
     monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
     for spec in MC_GAMES:
-        poly = builder(parse_game(spec))
+        game = parse_game(spec)
+        poly = builder(game)
         # every chunk is a pass of a Python loop, so small chunks get
         # proportionally fewer samples
         samples = min(40_000, 2_000_000 // len(poly.constraints), 2_000 * chunk)
-        assert_same_estimate(poly, samples, 1)
+        assert_same_estimate(poly, samples, 1, game)
 
 
 @pytest.mark.parametrize("chunk", COLUMN_CHUNKS[1:])
@@ -390,3 +401,71 @@ def test_block_draw_is_numpys_flat_dirichlet(k):
             )
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), message
             assert rng.bit_generator.state == ref.bit_generator.state, message
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_chamber_draw_is_uniform_on_the_ordered_chamber(n):
+    # C's centroid is the mean of its vertices v_j (1/j on the first j
+    # rows): w_(i) = (1/n) sum_{j >= i} 1/j
+    draws = 200_000
+    points = np.empty((n, draws))
+    _chamber(np.random.default_rng(n), points)
+    assert (np.diff(points, axis=0) <= 0).all()
+    assert np.allclose(points.sum(axis=0), 1.0)
+    exact = [sum(Fraction(1, j) for j in range(i, n + 1)) / n for i in range(1, n + 1)]
+    stderr = points.std(axis=1) / np.sqrt(draws)
+    for got, want, err in zip(points.mean(axis=1), exact, stderr):
+        assert abs(got - float(want)) <= 5 * err, (got, want, err)
+
+
+def test_set_up_is_kept_on_the_polytope(monkeypatch):
+    # a representation polytope draws its quota from the box, and
+    # "gapped" builds both a box and a simplex block
+    game = parse_game("[9;5,4,3,2,1,1]")
+    polys = (build_representation_polytope(game), HAND_BUILT["gapped"])
+    first = [estimate_centroid_mc(poly, 5_000, 2) for poly in polys]
+
+    def set_up(*args):
+        raise AssertionError("Monte Carlo set-up ran again")
+
+    monkeypatch.setattr(polytope, "_bounding_box", set_up)
+    monkeypatch.setattr(polytope, "_simplex_block", set_up)
+    assert [estimate_centroid_mc(poly, 5_000, 2) for poly in polys] == first
+
+
+class RowSpy(np.ndarray):
+    """Float rows that count, per row, the points a matmul tests on them."""
+
+    def __array_finalize__(self, obj):
+        self.counts = getattr(obj, "counts", None)
+        self.origin = getattr(obj, "origin", None)
+
+    def __matmul__(self, other):
+        first = (self.ctypes.data - self.origin) // self.strides[0]
+        for r in range(first, first + len(self)):
+            self.counts[r] += other.shape[1]
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_skipped_rows_are_never_evaluated(monkeypatch, builder):
+    monkeypatch.setattr(polytope, "ROW_BLOCK", 5)
+    game = parse_game("[9;5,4,3,2,1,1]")
+    poly = builder(game)
+    samples, rows = 20_000, len(poly.constraints)
+    outcome(estimate_centroid_mc, poly, 1, 4)  # sets up the proposal
+    setup = poly._cache["mc"]
+    skipped = sorted(set(range(rows)) - set(setup.live))
+    # what the library skips holds at every corner of the proposal region
+    assert skipped == oracle_dead_rows(poly, game)
+    assert 0 < len(skipped) < rows
+    spy = setup.a.view(RowSpy)
+    spy.counts = Counter()
+    spy.origin = spy.ctypes.data
+    poly._cache["mc"] = setup._replace(a=spy)
+    got = estimate_centroid_mc(poly, samples, 4)
+    evaluated = {setup.live[r] for r in spy.counts}
+    assert evaluated and not evaluated & set(skipped)
+    # the reference tests every row on every point and agrees
+    assert sum(spy.counts.values()) < (rows - len(skipped)) * samples
+    assert got == oracle_estimate_centroid_mc(poly, samples, 4, game)

@@ -290,6 +290,26 @@ class TestPolytopeCommand:
         assert err.startswith("error:")
         assert f"supported {MAX_MC_SAMPLES}" in err
 
+    def test_refused_estimate_after_vertices_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys,
+            "polytope", "--kind", "weight", "--vertices",
+            "--estimate-centroid-mc", "--samples", str(MAX_MC_SAMPLES + 1),
+            "--seed", "1", "--game", "[3;2,1,1]",
+        )
+        assert (code, out) == (3, "")
+        assert f"supported {MAX_MC_SAMPLES}" in err
+
+    def test_inconclusive_estimate_after_vertices_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys,
+            "polytope", "--kind", "weight", "--vertices", "--volume",
+            "--estimate-centroid-mc", "--samples", "1", "--seed", "1",
+            "--game", "[3;2,1,1]",
+        )
+        assert (code, out) == (1, "")
+        assert "samples landed inside" in err
+
     def test_single_sample_is_inconclusive(self, capsys):
         # one accepted point admits no error bar, whatever the seed
         code, _, err = run(

@@ -13,12 +13,14 @@ from powerpoly import (
     WeightedGame,
     canonical_games,
     coalition,
+    desirability_classes,
     is_feasible_weights,
     is_representation,
     l1_distance,
     members,
     parse_game,
 )
+from approx_oracle import oracle_transposition_automorphisms
 from expected_values import ACCEPTED_LITERALS, REJECTED_LITERALS, TABLE
 
 
@@ -451,3 +453,36 @@ def test_monotonicity_from_nonnegative_weights(game):
         if game.is_winning(mask):
             for i in range(game.n):
                 assert game.is_winning(mask | (1 << i))
+
+
+@st.composite
+def tied_games(draw):
+    """1-10 voters with zero and tied weights; the quota is a coalition's
+    weight or a share of the total, so voters of unequal weight are often
+    equally desirable."""
+    n = draw(st.integers(1, 10))
+    weight = st.sampled_from([0, 0, 1, 1, 2, 3, 5])
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    total = sum(weights)
+    assume(total > 0)
+    mask = draw(st.integers(1, (1 << n) - 1))
+    quota = sum(w for i, w in enumerate(weights) if mask >> i & 1)
+    if not quota or draw(st.booleans()):
+        quota = Fraction(total * draw(st.integers(1, 12)), 12)
+    return WeightedGame(quota, weights)
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_games())
+def test_classes_are_the_swaps_that_keep_the_structure(game):
+    classes = desirability_classes(game)
+    order = [v for cls in classes for v in cls]
+    assert sorted(order) == list(range(1, game.n + 1))
+    assert [game.weights[v - 1] for v in order] == sorted(game.weights, reverse=True)
+    pairs = sorted(
+        (min(i, j), max(i, j))
+        for cls in classes
+        for k, i in enumerate(cls)
+        for j in cls[k + 1 :]
+    )
+    assert pairs == oracle_transposition_automorphisms(game)
