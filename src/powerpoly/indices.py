@@ -16,15 +16,17 @@ from typing import Sequence
 
 from .exact_math import decimal_str
 from .game_core import (
-    ScaleExceededError,
     WeightedGame,
     desirability_classes,
     is_feasible_weights,
 )
-from .polytope import (
+from .polytope import (  # the exact scale policy, re-exported here
+    EXACT_GUARANTEED_VOTERS,
+    EXACT_MAX_VOTERS,
     build_representation_polytope,
     build_weight_polytope,
     centroid,
+    check_exact_scale,
 )
 
 __all__ = [
@@ -49,35 +51,6 @@ __all__ = [
 KIND_SSI = "ssi"
 KIND_AVG_WEIGHT = "avg-weight"
 KIND_AVG_REP = "avg-rep"
-
-# Exact scale policy. Triangulation size, and with it the integer
-# integration cost, grows quickly with the voter count. The worst case
-# measured (20 random games per voter count plus the hardest games
-# found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
-# guaranteed count and within 10 s up to the cap, on either polytope:
-# 0.05 s at 7 voters, 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at
-# 9 ([22;9,8,7,6,5,4,3,2,1]). check_exact_scale is the one place that
-# applies them; the CLI notes on stderr when a request is between the
-# two.
-EXACT_GUARANTEED_VOTERS = 7
-EXACT_MAX_VOTERS = 8
-
-
-def check_exact_scale(kind: str, n: int) -> bool:
-    """Refuse an exact pipeline run on the `kind` polytope with n voters.
-
-    `kind` is "weight" or "rep" and only names the polytope in the
-    error. Raises ScaleExceededError beyond EXACT_MAX_VOTERS; otherwise
-    returns whether n is past EXACT_GUARANTEED_VOTERS.
-    """
-    if n > EXACT_MAX_VOTERS:
-        raise ScaleExceededError(
-            f"exact {kind} polytope pipeline supports at most "
-            f"{EXACT_MAX_VOTERS} voters; use estimate_centroid_mc "
-            f"(polytope --estimate-centroid-mc) instead"
-        )
-    return n > EXACT_GUARANTEED_VOTERS
-
 
 @dataclass(frozen=True)
 class IndexVector:

@@ -17,10 +17,10 @@ the minimum of at most five lines with slopes -2..2. The feasible t
 the minimum. Over such an interval the count, the quota count (the sum
 of the gap) and the weight sums are sums of 1, t and t**2, which have
 closed forms. So each head costs one pass, whatever its tail's length.
-Heads run in blocks of at most CHUNK, one per column, so memory grows
-with the number of heads, not with the grid. The scan functions import
-numpy themselves, so importing this module does not load it; the first
-scan in a process pays that import.
+Heads are generated in lexicographic blocks of at most CHUNK, one per
+column, so a scan holds one block's arrays, whatever its grid. The scan
+functions import numpy themselves, so importing this module does not
+load it; the first scan in a process pays that import.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .exact_math import decimal_str
 from .game_core import GameFormatError, ScaleExceededError, WeightedGame, l1_distance
@@ -118,19 +118,40 @@ def _check_scale(game: WeightedGame, total: int) -> None:
         )
 
 
-def _prefixes(width: int, total: int) -> np.ndarray:
-    """All width-tuples of nonnegative integers with sum <= total, in lex order."""
+def _head_blocks(width: int, total: int) -> Iterator[np.ndarray]:
+    """The width-tuples of nonnegative integers with sum <= total, in lex
+    order, CHUNK at a time: one int64 array per block, one column per tuple.
+
+    Each tuple is unranked on its own. Among the w-tuples with sum <= R,
+    of which there are N(w, R) = C(R + w, w), the N(w, m) with first
+    entry at least R - m come last. So the tuple of rank k starts with
+    R - m, for the least m with N(w, m) >= N(w, R) - k, and goes on with
+    the (w - 1)-tuple of rank k - N(w, R) + N(w, m) with sum <= m. The
+    1-tuple of rank k is (k,).
+    """
     import numpy as np
 
-    rows = np.zeros((1, 0), dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
-    for _ in range(width):
-        lengths = total - sums + 1
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        last = np.arange(len(starts), dtype=np.int64) - starts
-        rows = np.column_stack([np.repeat(rows, lengths, axis=0), last])
-        sums = np.repeat(sums, lengths) + last
-    return rows
+    # N(w, 0..total) for w = 2..width: N(1, m) = m + 1, and each table is
+    # the running sum of the one before
+    tables = []
+    if width > 1:
+        tables.append(np.cumsum(np.arange(1, total + 2, dtype=np.int64)))
+        while len(tables) < width - 1:
+            tables.append(np.cumsum(tables[-1]))
+    heads = comb(total + width, width)
+    for start in range(0, heads, CHUNK):
+        rank = np.arange(start, min(start + CHUNK, heads), dtype=np.int64)
+        budget = np.full_like(rank, total)
+        block = np.empty((width, len(rank)), dtype=np.int64)
+        for i, table in enumerate(reversed(tables)):
+            before = table[budget]
+            m = np.searchsorted(table, before - rank)
+            block[i] = budget - m
+            rank -= before - table[m]
+            budget = m
+        if width:
+            block[-1] = rank
+        yield block
 
 
 def _series(lo, hi):
@@ -172,9 +193,6 @@ def _grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:
         dtype, weigh = np.int64, np.float64
     else:
         dtype, weigh = object, object
-    # row i < n-2 of x is weight i, the last row is the rest r of the total
-    heads = _prefixes(n - 2, total).T
-    x_all = np.vstack([heads, total - heads.sum(axis=0)])
     cols = [*range(n - 2), n - 1]
 
     def by_slope(mat):
@@ -190,8 +208,9 @@ def _grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:
     win, lose = map(by_slope, _structure_matrices(game))
     count = 0
     sums = [0] * n
-    for c0 in range(0, x_all.shape[1], CHUNK):
-        x = x_all[:, c0 : c0 + CHUNK].astype(dtype)
+    for heads in _head_blocks(n - 2, total):
+        # row i < n-2 of x is weight i, the last row is the rest r of the total
+        x = np.vstack([heads, total - heads.sum(axis=0)]).astype(dtype)
         xw = x.astype(weigh)
         lightest = {s: (m @ xw).min(axis=0) for s, m in win.items()}
         heaviest = {s: (m @ xw).max(axis=0) for s, m in lose.items()}

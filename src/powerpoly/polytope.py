@@ -9,13 +9,16 @@ inequalities: the closure only adds boundary slices of measure zero, so
 volumes and centroids are unchanged while vertex enumeration gets a
 compact polytope to work on. Past MAX_POLYTOPE_ROWS rows the builders
 raise ScaleExceededError before writing one; otherwise they write each
-row in integers and keep those rows with the polytope; every later
-stage starts from primitive integer rows, derived once per polytope
-from the Fractions only when the polytope was not built from a game.
+row in integers and keep those rows, and the game, with the polytope;
+every later stage starts from primitive integer rows, derived once per
+polytope from the Fractions only when the polytope was not built from a
+game.
 
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
-their zero sets say which constraints are tight where. The polytope is
+their zero sets say which constraints are tight where. Vertex
+enumeration refuses a game polytope of more than EXACT_MAX_VOTERS voters
+(check_exact_scale), and with it every exact stage. The polytope is
 cut into simplices by recursive apex coning over facets read off that
 vertex incidence, with no rank test. Volumes and first moments add up
 integer determinants (Bareiss) of each cell's homogeneous ray rows
@@ -23,25 +26,23 @@ integer determinants (Bareiss) of each cell's homogeneous ray rows
 denominator, so the only Fractions are the final totals. The only
 floating point in this module sits in the Monte Carlo estimator, and
 only it imports numpy, on its first call: building a polytope and every
-exact stage run without numpy loaded. A polytope built from a game keeps
-the game, and the estimator draws its weights from the chamber where
-they fall in the order of the game's voter classes
-(game_core.desirability_classes), then averages each accepted point over
-each class of equally desirable voters. Any other polytope has its
-simplex block drawn as standard exponentials over their sum (bitwise
-numpy's flat Dirichlet) and its other coordinates from a bounding box,
-and its estimates are those of the plain all-rows rejection sampler.
-Rows that hold on the whole proposal region are not tested. Points are
-drawn and tested in column chunks, held coordinate-major, and summed as
-they are accepted, so the estimator holds one chunk times ROW_BLOCK
-slacks at once and never a batch of accepted points.
+exact stage run without numpy loaded. The estimator samples polytopes
+built from a game: it draws the weights from the chamber where they
+fall in the order of the game's voter classes
+(game_core.desirability_classes) and the quota from the interval that
+chamber leaves it, then averages each accepted point over each class of
+equally desirable voters. Rows that hold on the whole proposal region
+are not tested. Points are drawn and tested in column chunks, held
+coordinate-major, and summed as they are accepted, so the estimator
+holds one chunk times ROW_BLOCK slacks at once and never a batch of
+accepted points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -60,6 +61,8 @@ if TYPE_CHECKING:
 __all__ = [
     "Constraint",
     "DegenerateGeometryError",
+    "EXACT_GUARANTEED_VOTERS",
+    "EXACT_MAX_VOTERS",
     "EstimateInconclusiveError",
     "HPolytope",
     "MAX_MC_SAMPLES",
@@ -69,6 +72,7 @@ __all__ = [
     "build_representation_polytope",
     "build_weight_polytope",
     "centroid",
+    "check_exact_scale",
     "constraint_count",
     "enumerate_vertices",
     "estimate_centroid_mc",
@@ -92,19 +96,39 @@ MAX_POLYTOPE_ROWS = 20_000
 # 3.1-3.4M samples/s on a 2-vCPU VM, draws within 10 s (2^24 in 5.3 s).
 MAX_MC_SAMPLES = 1 << 24
 
+# Exact scale policy. Triangulation size, and with it the integer
+# integration cost, grows quickly with the voter count. The worst case
+# measured (20 random games per voter count plus the hardest games
+# found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
+# guaranteed count and within 10 s up to the cap, on either polytope:
+# 0.05 s at 7 voters, 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at
+# 9 ([22;9,8,7,6,5,4,3,2,1]). check_exact_scale is the one place that
+# applies them: the indices call it before building a polytope, and
+# enumerate_vertices before its work on a game polytope; the CLI notes
+# on stderr when a request is between the two.
+EXACT_GUARANTEED_VOTERS = 7
+EXACT_MAX_VOTERS = 8
+
 ROW_BLOCK = 32  # most constraint rows a Monte Carlo chunk is tested against at once
 COLUMN_CHUNK = 1 << 13  # points of a Monte Carlo batch drawn and tested at once
 
-# A row that holds on all of a Monte Carlo proposal region goes untested
-# only while 4 d + 16 units of 2^-53 of its size, sum_i |a_i| max|x_i| +
-# |b| over the region, stay within the 1e-12 slack tolerance: a proposed
-# coordinate lies within 2 d + 5 such units of a point of the region, the
-# float row within one of the exact row, and the slack's float sum adds
-# d + 2. So the row could never reject a proposal. This is that bound on
-# the size, times 4 d + 16.
-_DEAD_ROW_SIZE = 1e-12 * 2.0**53
-
 _SMALL = {v: Fraction(v) for v in range(-2, 3)}  # every entry of a game row
+
+
+def check_exact_scale(kind: str, n: int) -> bool:
+    """Refuse an exact pipeline run on the `kind` polytope with n voters.
+
+    `kind` is "weight" or "rep" and only names the polytope in the
+    error. Raises ScaleExceededError beyond EXACT_MAX_VOTERS; otherwise
+    returns whether n is past EXACT_GUARANTEED_VOTERS.
+    """
+    if n > EXACT_MAX_VOTERS:
+        raise ScaleExceededError(
+            f"exact {kind} polytope pipeline supports at most "
+            f"{EXACT_MAX_VOTERS} voters; use estimate_centroid_mc "
+            f"(polytope --estimate-centroid-mc) instead"
+        )
+    return n > EXACT_GUARANTEED_VOTERS
 
 
 class DegenerateGeometryError(ValueError):
@@ -178,8 +202,8 @@ def _game_polytope(
     rows have a +-1 entry, and a weight row has b = +-1 unless its two
     coalitions agree on the last voter, when they differ on another one,
     whose entry is +-1. So the rows are the estimator's and the vertex
-    enumerator's integer rows as they stand, each with scale 1. The
-    polytope also keeps the game, whose voter classes the estimator uses.
+    enumerator's integer rows as they stand. The polytope also keeps the
+    game, which the exact scale check and the estimator read.
     """
     poly = HPolytope(
         dim,
@@ -188,7 +212,7 @@ def _game_polytope(
             for (a, b), label in zip(rows, labels)
         ),
     )
-    poly._cache["rows"] = rows, [(1, 1)] * len(rows)
+    poly._cache["rows"] = rows
     poly._cache["game"] = game
     return poly
 
@@ -281,15 +305,13 @@ def _check_rows(game: WeightedGame, kind: str) -> None:
 
 def _scaled_rows(
     constraints: Sequence[Constraint],
-) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, int]]]:
-    """Primitive integer rows (a, b) and the factors (g, den) that undo them.
+) -> list[tuple[tuple[int, ...], int]]:
+    """Primitive integer rows (a, b), each a positive multiple of its constraint.
 
-    Constraint j is rows[j] * g / den, where den clears its denominators
-    and g is the gcd that makes the cleared row primitive; a constraint
-    that already is a primitive integer row has g = den = 1.
+    Row j is constraint j times the lcm of its denominators, over the gcd
+    of the cleared entries.
     """
     rows = []
-    scales = []
     for con in constraints:
         den = lcm(con.b.denominator, *(c.denominator for c in con.a))
         a = tuple(c.numerator * (den // c.denominator) for c in con.a)
@@ -302,13 +324,10 @@ def _scaled_rows(
             a = tuple(c // g for c in a)
             b //= g
         rows.append((a, b))
-        scales.append((g, den))
-    return rows, scales
+    return rows
 
 
-def _rows(
-    poly: HPolytope,
-) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, int]]]:
+def _rows(poly: HPolytope) -> list[tuple[tuple[int, ...], int]]:
     """The polytope's _scaled_rows, memoized; the builders store theirs."""
     if "rows" not in poly._cache:
         poly._cache["rows"] = _scaled_rows(poly.constraints)
@@ -412,13 +431,17 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     first-seen order, found by exact double description; vertex i is
     x / t for the i-th of the primitive rays kept beside the vertices. A
     constraint is active at a vertex when its integer row is in the ray's
-    zero set.
+    zero set. Raises ScaleExceededError, before any of that work, for a
+    game polytope past check_exact_scale.
     """
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
     d = poly.dim
+    game = poly._cache.get("game")
+    if game is not None:
+        check_exact_scale("rep" if d == game.n else "weight", game.n)
     ids: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for i, row in enumerate(_rows(poly)[0]):
+    for i, row in enumerate(_rows(poly)):
         ids.setdefault(row, []).append(i)
     rays = _cone_rays(list(ids), d)
     found: list[tuple[Vertex, tuple[int, ...]]] = []
@@ -591,162 +614,25 @@ def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
 
 # -- Monte Carlo cross-check --------------------------------------------
 
-def _bounding_box(
-    d: int, rows: Sequence[tuple[tuple[int, ...], int]]
-) -> list[tuple[Fraction, Fraction]]:
-    """Interval bounds per coordinate, derived from integer rows a.x <= b.
-
-    Repeated one-variable propagation: a row bounds x_i once every other
-    term in it has a finite bound of the right sign. A row never moves a
-    bound it reads, so a pass that has moved nothing when it reaches the
-    previous pass's last moving row would read from there on what that
-    pass read, and propagation ends there. Game polytopes settle in their
-    first pass, and the second ends at that row; anything still unbounded
-    is an error. Bounds are kept as integer numerators over one common
-    denominator, so each row costs one activity sum over its support,
-    which may miss at most one bound, and a Fraction is built only when
-    a bound improves.
-    """
-    terms = [(list(compress(enumerate(a), a)), b) for a, b in rows if any(a)]
-    den = 1
-    lo: list[int | None] = [None] * d
-    hi: list[int | None] = [None] * d
-    last = len(terms)  # the previous pass's last row that moved a bound
-    for _ in range(2 * d + 2):
-        moved = None
-        for r, (support, b) in enumerate(terms):
-            if r == last and moved is None:
-                break
-            activity = 0
-            missing = None
-            for j, c in support:
-                bound = lo[j] if c > 0 else hi[j]
-                if bound is None:
-                    if missing is not None:
-                        break
-                    missing = j
-                else:
-                    activity += c * bound
-            else:  # at most one bound missing
-                for i, c in support:
-                    if missing is None:
-                        rest = activity - c * (lo[i] if c > 0 else hi[i])
-                    elif i == missing:
-                        rest = activity
-                    else:
-                        continue
-                    # the row bounds x_i by (b - rest / den) / c, which is
-                    # num / (c * den); for c < 0 it is a lower bound and the
-                    # comparison flips, so either bound improves iff
-                    # num < c * old
-                    num = b * den - rest
-                    old = hi[i] if c > 0 else lo[i]
-                    if old is not None and num >= c * old:
-                        continue
-                    val = Fraction(num, c * den)
-                    if den % val.denominator:
-                        grow = val.denominator // gcd(den, val.denominator)
-                        den *= grow
-                        activity *= grow
-                        lo = [None if v is None else v * grow for v in lo]
-                        hi = [None if v is None else v * grow for v in hi]
-                    scaled = val.numerator * (den // val.denominator)
-                    if c > 0:
-                        hi[i] = scaled
-                    else:
-                        lo[i] = scaled
-                    moved = r
-        if moved is None:
-            break
-        last = moved
-    if any(l is None or h is None for l, h in zip(lo, hi)):
-        raise ValueError("constraints do not bound every coordinate")
-    return [(Fraction(l, den), Fraction(h, den)) for l, h in zip(lo, hi)]
-
-
-def _simplex_block(
-    rows: Sequence[tuple[tuple[int, ...], int]]
-) -> tuple[tuple[int, ...], Fraction]:
-    """Largest coordinate block provably confined to a scaled simplex.
-
-    Returns (coordinate indices, scale s) such that the integer rows
-    imply x_i >= 0 for each member and sum over the block <= s. Empty
-    when no such block exists. Sampling the block from the solid simplex
-    instead of its bounding box multiplies rejection acceptance by about
-    k!. Rows are screened by counts and value sets over the whole row,
-    so a support is listed only for the few rows that can bound a block.
-    """
-    nonneg = {
-        a.index(min(a))
-        for a, b in rows
-        if b == 0 and a.count(0) == len(a) - 1 and min(a) < 0
-    }
-    best: tuple[tuple[int, ...], Fraction] = ((), Fraction(0))
-    for a, b in rows:
-        if b <= 0:
-            continue
-        values = set(a)
-        values.discard(0)
-        if len(values) != 1:
-            continue
-        coef = values.pop()
-        if coef <= 0:
-            continue
-        support = [i for i, c in enumerate(a) if c]
-        if len(support) < 2 or not nonneg.issuperset(support):
-            continue
-        if len(support) > len(best[0]):
-            best = (tuple(support), Fraction(b, coef))
-    return best
-
-
-def _exponentials(
-    rng: np.random.Generator, m: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """m draws of k standard exponentials, and one over each draw's sum.
-
-    The sums run left to right, as numpy's flat Dirichlet adds its parts.
-    """
-    import numpy as np
-
-    exps = rng.standard_exponential((m, k))
-    inv = exps[:, 0].copy()
-    for j in range(1, k):
-        inv += exps[:, j]
-    np.divide(1.0, inv, out=inv)
-    return exps, inv
-
-
-def _flat_dirichlet(rng: np.random.Generator, out: Sequence[np.ndarray]) -> None:
-    """Fill k rows with the first k parts of flat Dirichlet draws on k + 1.
-
-    Column j of the rows is one point drawn uniformly from the standard
-    k-simplex. The draw is bitwise rng.dirichlet(np.ones(k + 1), size)
-    without its last part, transposed: numpy draws the parts of each
-    point as standard exponentials (its gamma(1)), point after point, and
-    multiplies them by one over their left-to-right sum.
-    """
-    import numpy as np
-
-    exps, inv = _exponentials(rng, len(out[0]), len(out) + 1)
-    for j, row in enumerate(out):
-        np.multiply(exps[:, j], inv, out=row)
-
-
 def _chamber(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill the n rows of `out` with uniform draws from the simplex's chamber.
 
     Column j of the rows is one point of C = {w_1 >= ... >= w_n >= 0,
-    sum w = 1}. From n standard exponentials e_i (1-based), drawn as for
-    a flat Dirichlet point u_i = e_i / sum e, it sets w_i = sum_{j >= i}
-    u_j / j, summed from j = n down. That linear map sends the simplex's
-    vertex e_j to C's vertex v_j, 1/j on each of the first j rows, so the
-    draw is uniform on C.
+    sum w = 1}. It draws n standard exponentials e_i (1-based) per
+    point, point after point, and sums them left to right, as numpy
+    draws a flat Dirichlet point u_i = e_i / sum e. Then it sets
+    w_i = sum_{j >= i} u_j / j, summed from j = n down. That linear map
+    sends the simplex's vertex e_j to C's vertex v_j, 1/j on each of the
+    first j rows, so the draw is uniform on C.
     """
     import numpy as np
 
     n = len(out)
-    exps, inv = _exponentials(rng, out.shape[1], n)
+    exps = rng.standard_exponential((out.shape[1], n))
+    inv = exps[:, 0].copy()
+    for j in range(1, n):
+        inv += exps[:, j]
+    np.divide(1.0, inv, out=inv)
     np.divide(exps[:, n - 1], n, out=out[n - 1])
     for j in range(n - 2, -1, -1):
         np.divide(exps[:, j], j + 1, out=out[j])
@@ -757,19 +643,17 @@ def _chamber(rng: np.random.Generator, out: np.ndarray) -> None:
 class _Proposal(NamedTuple):
     """What estimate_centroid_mc draws and tests, set up once per polytope.
 
-    A point is held as `size` rows: the chart coordinates, or for a game
-    its quota coordinate (if any) and then every voter's weight in rank
-    order, the voter the chart drops included. Its output columns are
-    sums of point rows; with `rest` set, one more column is 1 minus
-    columns[rest:], the weight the other classes leave to the last one.
+    A point is held as `size` rows: the quota, if the polytope has one,
+    then for n >= 2 voters every voter's weight in rank order, the voter
+    the chart drops included. Its output columns are sums of point rows;
+    with `rest` set, one more column is 1 minus columns[rest:], the
+    weight the other classes leave to the last one.
     """
 
     size: int
-    free: list[int]  # rows drawn uniformly from [lo, hi]
+    first: int  # quota rows, drawn uniformly from [lo, hi]; the rest from C
     lo: np.ndarray
     hi: np.ndarray
-    block: list[int]  # rows drawn from the simplex block or the chamber
-    scale: float | None  # the simplex block's scale; None draws the chamber
     live: np.ndarray  # the constraint rows tested, the most cutting first
     a: np.ndarray  # their float rows, over a point's rows
     b: np.ndarray
@@ -782,142 +666,88 @@ class _Proposal(NamedTuple):
         return len(self.columns) + (self.rest is not None)
 
 
-def _proposal(poly: HPolytope) -> _Proposal:
+def _proposal(poly: HPolytope, game: WeightedGame) -> _Proposal:
     """The estimator's proposal region, live rows and output columns.
 
-    A polytope built from a game of n >= 2 voters lies where a more
-    desirable voter never weighs less, and it is unchanged when equally
-    desirable voters swap. So its weights are drawn from the chamber C
-    of weights in decreasing rank order, and each accepted point is
-    averaged over every class of equally desirable voters: a column sums
-    a class's weights, and the last class takes what the others leave of
-    the unit sum. Any other polytope draws its simplex block, if it has
-    one, and keeps one column per coordinate. The remaining coordinates
-    come from their bounding-box intervals; the quota's interval is also
-    cut to the values that some weights in C leave it.
+    A game polytope lies where a more desirable voter never weighs less,
+    and it is unchanged when equally desirable voters swap. So its
+    weights are drawn from the chamber C of weights in decreasing rank
+    order, and each accepted point is averaged over every class of
+    equally desirable voters: a column sums a class's weights, and the
+    last class takes what the others leave of the unit sum. A lone
+    voter's weight is 1, so its polytope draws no weights at all. The
+    quota is drawn from the values that some weights in C leave it.
 
     A row is not tested when it holds at every vertex of the proposal
-    region (a block or chamber vertex with the worst box corner), which
-    one product of the integer row matrix with the vertices decides
-    exactly, and it is small enough that rounding cannot take a
-    proposal's slack below the -1e-12 tolerance; game rows, with entries
-    in -2..2, always are. The other rows are tested most violated first,
-    at the mean of those vertices, so that most points leave after few
+    region (a vertex of C with the quota end that is worst for the row),
+    which one product of the integer row matrix with the vertices
+    decides exactly. The other rows are tested most violated first, at
+    the mean of those vertices, so that most points leave after few
     rows; the order changes neither which points are accepted nor their
     order.
     """
     import numpy as np
 
-    d = poly.dim
-    rows, scales = _rows(poly)
-    game = poly._cache.get("game")
-    if game is not None and game.n > 1:
-        n = game.n
-        classes = desirability_classes(game)
-        first = d - (n - 1)  # quota coordinates ahead of the weights
-        rank = {v: r for r, v in enumerate(chain.from_iterable(classes))}
-        size = first + n
-        layout = list(range(first)) + [first + rank[v] for v in range(1, n)]
-        block, scale = list(range(first, size)), None
-        # C's vertex v_j puts 1/j on the j most desirable voters
-        v_den = lcm(*range(1, n + 1))
-        vertices = [
-            [0] * first + [v_den // j if rank[v] < j else 0 for v in range(1, n)]
-            for j in range(1, n + 1)
-        ]
-        ends = list(accumulate(map(len, classes), initial=first))
-        columns = [(i, i + 1) for i in range(first)]
-        columns += list(zip(ends[:-2], ends[1:-1]))
-        rest = first
-        of_voter = {v: c for c, cls in enumerate(classes) for v in cls}
-        coords = [(i, 1) for i in range(first)] + [
-            (first + of_voter[v], len(classes[of_voter[v]])) for v in range(1, n)
-        ]
-        free = list(range(first))
-    else:
-        size = d
-        layout = list(range(d))
-        block, exact_scale = _simplex_block(rows)
-        scale = float(exact_scale)
-        v_den = exact_scale.denominator
-        vertices = [[0] * d] + [
-            [exact_scale.numerator if i == c else 0 for i in range(d)] for c in block
-        ]
-        columns = [(i, i + 1) for i in range(d)]
-        rest = None
-        coords = [(i, 1) for i in range(d)]
-        free = [i for i in range(d) if i not in block]
-    # The integer rows, held exactly in floats while below 2^53.
+    n, d = game.n, poly.dim
+    rows = _rows(poly)
+    classes = desirability_classes(game)
+    first = d - (n - 1)  # quota coordinates ahead of the weights
+    rank = {v: r for r, v in enumerate(chain.from_iterable(classes))}
+    size = first + n if n > 1 else first
+    layout = list(range(first)) + [first + rank[v] for v in range(1, n)]
+    ends = list(accumulate(map(len, classes), initial=first))
+    columns = [(i, i + 1) for i in range(first)]
+    columns += list(zip(ends[:-2], ends[1:-1]))
+    of_voter = {v: c for c, cls in enumerate(classes) for v in cls}
+    coords = [(i, 1) for i in range(first)] + [
+        (first + of_voter[v], len(classes[of_voter[v]])) for v in range(1, n)
+    ]
+    # C's vertex v_j puts 1/j on the j most desirable voters; over den
+    den = lcm(*range(1, n + 1))
+    vertices = [
+        [0] * first + [den // j if rank[v] < j else 0 for v in range(1, n)]
+        for j in range(1, n + 1)
+    ]
+    # The integer rows in floats. Their entries are -2..2, and every
+    # vertex coordinate and quota end is an integer of at most
+    # den <= lcm(1..16) = 720,720, so each value below is exact. A
+    # proposed coordinate lies in [0, 1], so a proposal's float slack is
+    # within 4 d + 16 units of 2^-53 of the row's size, sum |a_i| + |b|
+    # <= 2 d + 2, of the exact slack: under 3e-13 for d <= 16, inside
+    # the 1e-12 tolerance. So a row that holds on the whole region can
+    # never reject a proposal.
     m = len(rows)
     a_int = np.fromiter(chain.from_iterable(a for a, _ in rows), float, m * d)
     a_int = a_int.reshape(m, d)
     b_int = np.fromiter((b for _, b in rows), float, m)
-    box = []
-    if free:
-        box = _bounding_box(d, rows)
-        if any(l > h for l, h in box):
-            raise EstimateInconclusiveError("bounding box is empty")
-        box = [box[i] for i in free]
-        if scale is None:
-            # With its weights in C, a representation row q + a.w <= b (or
-            # -q + a.w <= b; the builder writes q with a unit coefficient)
-            # bounds q by b - a.w at the vertex of C where a.w is least.
-            slack = b_int * v_den - (a_int @ np.array(vertices, dtype=float).T).min(1)
-            (lo, hi), q = box[0], a_int[:, 0]
-            lo = max(lo, Fraction(-int(slack[q < 0].min()), v_den))
-            hi = min(hi, Fraction(int(slack[q > 0].min()), v_den))
-            box = [(lo, hi)]
-
-    # The region's vertices and box bounds over one common denominator.
-    den = lcm(v_den, *(x.denominator for x in chain(*box)))
-    v_int = [[x * (den // v_den) for x in v] for v in vertices]
-    lo_int = [int(l * den) for l, _ in box]
-    hi_int = [int(h * den) for _, h in box]
-    reach = max(map(abs, chain(*v_int, lo_int, hi_int)))
-    big = int(max(np.abs(a_int).max(initial=0), np.abs(b_int).max(initial=0)))
-    # every value and partial sum below is an integer under 2^53: exact
-    exact = big * (reach + den) * (d + 1) * len(v_int) < 2**53
-
-    a_f, b_f = a_int, b_int
-    if scales.count((1, 1)) < m:
-        # float(Fraction) is the correctly rounded p / q, and so is the
-        # int true division c * g / den of the same rational
-        a_f, b_f = a_int.copy(), b_int.copy()
-        for j, ((a, b), (g, row_den)) in enumerate(zip(rows, scales)):
-            if (g, row_den) != (1, 1):
-                a_f[j] = [c * g / row_den for c in a]
-                b_f[j] = b * g / row_den
-
-    excess = np.zeros(m)  # by how much a row fails, summed over the vertices
-    dead = np.zeros(m, dtype=bool)
-    if exact:
-        # a.x - b at each vertex, with the box corner that is worst for a
-        at = a_int @ np.array(v_int, dtype=float).T - (b_int * den)[:, None]
-        if free:
-            part = a_int[:, free]
-            at += np.maximum(part * lo_int, part * hi_int).sum(axis=1)[:, None]
-        excess = at.sum(axis=1)
-        extent = [max(abs(v[i]) for v in v_int) for i in range(d)]
-        for i, l, h in zip(free, lo_int, hi_int):
-            extent[i] = max(abs(l), abs(h))
-        size_of = np.abs(a_f) @ (np.array(extent, dtype=float) / den) + np.abs(b_f)
-        dead = (at <= 0).all(axis=1) & (size_of <= _DEAD_ROW_SIZE / (4 * d + 16))
-    live = np.flatnonzero(~dead)
+    # a.x - b at each vertex of C, the quota part left out
+    at = a_int @ np.array(vertices, dtype=float).T - (b_int * den)[:, None]
+    lo_int, hi_int = [], []
+    if first:
+        # With its weights in C, a representation row q + a.w <= b (or
+        # -q + a.w <= b; the builder writes q with a unit coefficient)
+        # bounds q by b - a.w at the vertex of C where a.w is least.
+        slack = -at.min(axis=1)
+        q = a_int[:, 0]
+        lo_int = [-int(slack[q < 0].min())]
+        hi_int = [int(slack[q > 0].min())]
+        part = a_int[:, :first]
+        at += np.maximum(part * lo_int, part * hi_int).sum(axis=1)[:, None]
+    excess = at.sum(axis=1)  # by how much a row fails, summed over the vertices
+    live = np.flatnonzero(~(at <= 0).all(axis=1))
     live = live[np.argsort(-excess[live], kind="stable")]
     a = np.zeros((len(live), size))
-    a[:, layout] = np.take(a_f, live, axis=0)
+    a[:, layout] = np.take(a_int, live, axis=0)
     return _Proposal(
         size,
-        free,
-        np.array([float(l) for l, _ in box]),
-        np.array([float(h) for _, h in box]),
-        block,
-        scale,
+        first,
+        np.array([l / den for l in lo_int]),
+        np.array([h / den for h in hi_int]),
         live,
         a,
-        np.take(b_f, live),
+        np.take(b_int, live),
         columns,
-        rest,
+        first if n > 1 else None,
         coords,
     )
 
@@ -952,45 +782,39 @@ def _columns(p: _Proposal, inside: np.ndarray) -> np.ndarray:
 def estimate_centroid_mc(
     poly: HPolytope, samples: int, seed: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Centroid estimate via seeded rejection sampling.
+    """Centroid estimate of a game polytope via seeded rejection sampling.
 
-    Proposal region (`_proposal`, set up once per polytope and kept on
-    it): a polytope built from a game draws its weights from the chamber
+    `poly` comes from build_weight_polytope or
+    build_representation_polytope. Proposal region (`_proposal`, set up
+    once per polytope and kept on it): the weights come from the chamber
     of weights in decreasing rank order, which multiplies the share
     accepted by n! / (c_1! ... c_k!) for voter classes of c_i equally
-    desirable voters (by nothing when all voters are tied), and its
-    quota from the interval that the chamber leaves it; any other
-    polytope draws a coordinate block the constraints confine to a
-    simplex from that simplex (flat Dirichlet). Other coordinates come
-    from their bounding-box intervals. Rows that hold on the whole
-    region are not tested. The rows tested are float copies of the
-    integer rows: the integer row when that is the constraint itself,
-    the constraint's coefficients rounded as float(Fraction) rounds them
-    otherwise.
+    desirable voters (by nothing when all voters are tied), and the
+    quota from the interval that the chamber leaves it. Rows that hold
+    on the whole region are not tested.
 
-    Each batch draws its box coordinates first, then goes through its
-    points COLUMN_CHUNK at a time: a chunk draws its block (the
-    exponentials continue one stream, so the batch's points are those of
-    one draw) and is held coordinate-major, one row of points per
-    coordinate. It is tested against 4, 8, 16 and then ROW_BLOCK rows at
-    a time, and only the points inside every block so far, in their
-    drawn order, go on to the next. Each accepted point adds its output
-    columns (a coordinate, or the weight of a voter class) and their
-    squares to running sums, point after point in drawn order, and each
-    batch adds its sums to the totals. So what is held at once is one
-    chunk times ROW_BLOCK slacks and the batch's box coordinates, however
-    many rows and samples there are. Without a game the estimate is
-    bitwise that of the plain sampler testing whole batches against all
-    rows, but for one-coordinate polytopes, whose batch sums numpy added
-    pairwise. Returns (estimate, standard errors) per coordinate, from
-    the i.i.d. class-averaged points; equally desirable voters get equal
+    Each batch draws its quotas first, then goes through its points
+    COLUMN_CHUNK at a time: a chunk draws its weights (the exponentials
+    continue one stream, so the batch's points are those of one draw)
+    and is held coordinate-major, one row of points per coordinate. It
+    is tested against 4, 8, 16 and then ROW_BLOCK rows at a time, and
+    only the points inside every block so far, in their drawn order, go
+    on to the next. Each accepted point adds its output columns (the
+    quota, or the weight of a voter class) and their squares to running
+    sums, point after point in drawn order, and each batch adds its sums
+    to the totals. So what is held at once is one chunk times ROW_BLOCK
+    slacks and the batch's quotas, however many rows and samples there
+    are. Returns (estimate, standard errors) per coordinate, from the
+    i.i.d. class-averaged points; equally desirable voters get equal
     estimates. Deterministic for a fixed seed.
 
-    Raises ScaleExceededError past MAX_MC_SAMPLES samples, before any
-    set-up or draw. Raises EstimateInconclusiveError when fewer than two
-    samples land inside the polytope, since one point admits no error
-    estimate. The share that lands falls steeply with the dimension
-    (README "Scale" has measured rates).
+    Raises ScaleExceededError past MAX_MC_SAMPLES samples, and
+    ValueError for a polytope not built from a game, both before any
+    set-up or draw; a point (dimension 0) has the empty estimate. Raises
+    EstimateInconclusiveError when fewer than two samples land inside
+    the polytope, since one point admits no error estimate. The share
+    that lands falls steeply with the dimension (README "Scale" has
+    measured rates).
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -1001,10 +825,16 @@ def estimate_centroid_mc(
     d = poly.dim
     if d == 0:
         return (), ()
+    game = poly._cache.get("game")
+    if game is None:
+        raise ValueError(
+            "Monte Carlo estimates need a polytope built from a game "
+            "(build_weight_polytope or build_representation_polytope)"
+        )
     import numpy as np
 
     if "mc" not in poly._cache:
-        poly._cache["mc"] = _proposal(poly)
+        poly._cache["mc"] = _proposal(poly, game)
     p = poly._cache["mc"]
     # the rows that cut most come first, so blocks start small and double
     row_blocks = []
@@ -1020,20 +850,16 @@ def estimate_centroid_mc(
     while remaining:
         batch = min(remaining, 1 << 17)
         remaining -= batch
-        if p.free:
-            uniform = rng.uniform(p.lo, p.hi, size=(batch, len(p.free))).T
+        if p.first:
+            uniform = rng.uniform(p.lo, p.hi, size=(batch, p.first)).T
         run = np.zeros(2 * p.width)
         for start in range(0, batch, COLUMN_CHUNK):
             stop = min(start + COLUMN_CHUNK, batch)
             pts = np.empty((p.size, stop - start))
-            if p.free:
-                pts[p.free] = uniform[:, start:stop]
-            if p.scale is None:
-                _chamber(rng, pts[p.block[0] :])
-            elif p.block:
-                _flat_dirichlet(rng, [pts[i] for i in p.block])
-                for i in p.block:
-                    pts[i] *= p.scale
+            if p.first:
+                pts[: p.first] = uniform[:, start:stop]
+            if p.size > p.first:  # a lone voter has no weights to draw
+                _chamber(rng, pts[p.first :])
             inside = pts
             for a_blk, b_blk in row_blocks:
                 slack = a_blk @ inside

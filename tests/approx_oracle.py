@@ -1,15 +1,15 @@
-"""Unchunked grid scans, Fraction bounding boxes and the all-rows estimators.
+"""Unchunked grid scans and the all-rows Monte Carlo estimator.
 
 These are the approximate layers as they were before blocking: the grid
 scan tests one composition tail at a time and sums each column in int64,
-the bounding box propagates bounds in Fractions over every coordinate of
-every constraint, and the Monte Carlo estimators test each batch of
-points against all constraint rows in one float matrix. For a game's
-polytope the estimator draws each whole batch from the ordered chamber
-of weights and finds the voter classes from swaps of the coalition
-structure. The library versions must return exactly what these return
-(the grid scan only where its int64 sums cannot overflow), so they stay
-as the reference.
+and the Monte Carlo estimator draws each whole batch of a game polytope's
+points from the ordered chamber of weights and tests it against all
+constraint rows in one float matrix. It finds the voter classes from
+swaps of the coalition structure, and bounds the quota by the chamber's
+vertices and a bounding box that propagates bounds in Fractions over
+every coordinate of every constraint. The library versions must return
+exactly what these return (the grid scan only where its int64 sums
+cannot overflow), so they stay as the reference.
 """
 
 from fractions import Fraction
@@ -119,26 +119,6 @@ def oracle_bounding_box(poly: HPolytope) -> list[tuple[Fraction, Fraction]]:
     return list(zip(lo, hi))
 
 
-def oracle_simplex_block(poly: HPolytope) -> tuple[tuple[int, ...], Fraction]:
-    nonneg = set()
-    for con in poly.constraints:
-        support = [i for i, c in enumerate(con.a) if c != 0]
-        if len(support) == 1 and con.a[support[0]] < 0 and con.b == 0:
-            nonneg.add(support[0])
-    best: tuple[tuple[int, ...], Fraction] = ((), Fraction(0))
-    for con in poly.constraints:
-        support = [i for i, c in enumerate(con.a) if c != 0]
-        if len(support) < 2 or not set(support) <= nonneg:
-            continue
-        coef = con.a[support[0]]
-        if coef <= 0 or any(con.a[i] != coef for i in support):
-            continue
-        scale = con.b / coef
-        if scale > 0 and len(support) > len(best[0]):
-            best = (tuple(support), scale)
-    return best
-
-
 def _swap_bits(mask: int, p: int, q: int) -> int:
     if (mask >> p & 1) == (mask >> q & 1):
         return mask
@@ -227,9 +207,14 @@ def oracle_dead_rows(poly: HPolytope, game: WeightedGame) -> list[int]:
     ]
 
 
-def _oracle_chamber_estimate(
-    poly: HPolytope, game: WeightedGame, samples: int, seed: int
+def oracle_estimate_centroid_mc(
+    poly: HPolytope, samples: int, seed: int, game: WeightedGame
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """All-rows rejection estimate of a polytope built from `game`, from its chamber."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if poly.dim == 0:
+        return (), ()
     n, d = game.n, poly.dim
     first = d - (n - 1)  # the quota coordinate, if any
     classes = oracle_classes(game)
@@ -248,13 +233,15 @@ def _oracle_chamber_estimate(
         batch = min(remaining, 1 << 17)
         remaining -= batch
         quota = rng.uniform(lo, hi, size=(batch, first))
-        exps = rng.standard_exponential((batch, n))
-        total = exps[:, 0].copy()
-        for j in range(1, n):
-            total += exps[:, j]
-        # w_(i) = sum_{j >= i} e_j / j over sum e, by rank
-        tails = np.cumsum((exps / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
-        by_rank = tails * (1.0 / total)[:, None]
+        by_rank = np.ones((batch, 1))  # a lone voter weighs 1: nothing drawn
+        if n > 1:
+            exps = rng.standard_exponential((batch, n))
+            total = exps[:, 0].copy()
+            for j in range(1, n):
+                total += exps[:, j]
+            # w_(i) = sum_{j >= i} e_j / j over sum e, by rank
+            tails = np.cumsum((exps / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+            by_rank = tails * (1.0 / total)[:, None]
         weights = np.empty((batch, n))
         weights[:, ranked] = by_rank
         pts = np.hstack([quota, weights[:, : n - 1]])
@@ -291,52 +278,3 @@ def _oracle_chamber_estimate(
         tuple(float(stderr[c] / k) for c, k in where),
     )
 
-
-def oracle_estimate_centroid_mc(
-    poly: HPolytope, samples: int, seed: int, game: WeightedGame | None = None
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """All-rows rejection estimate; from the chamber when `game` built `poly`."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    d = poly.dim
-    if d == 0:
-        return (), ()
-    if game is not None and game.n > 1:
-        return _oracle_chamber_estimate(poly, game, samples, seed)
-    box = oracle_bounding_box(poly)
-    if any(l > h for l, h in box):
-        raise EstimateInconclusiveError("bounding box is empty")
-    block, scale = oracle_simplex_block(poly)
-    free = [i for i in range(d) if i not in block]
-    lo = np.array([float(box[i][0]) for i in free])
-    hi = np.array([float(box[i][1]) for i in free])
-    a_mat = np.array([[float(c) for c in con.a] for con in poly.constraints])
-    b_vec = np.array([float(con.b) for con in poly.constraints])
-    rng = np.random.default_rng(seed)
-    kept = 0
-    acc = np.zeros(d)
-    acc_sq = np.zeros(d)
-    remaining = samples
-    while remaining:
-        batch = min(remaining, 1 << 17)
-        remaining -= batch
-        pts = np.empty((batch, d))
-        if free:
-            pts[:, free] = rng.uniform(lo, hi, size=(batch, len(free)))
-        if block:
-            k = len(block)
-            simplex = rng.dirichlet(np.ones(k + 1), size=batch)[:, :k]
-            pts[:, block] = simplex * float(scale)
-        inside = pts[(b_vec[None, :] - pts @ a_mat.T >= -1e-12).all(axis=1)]
-        if len(inside):
-            kept += len(inside)
-            acc += inside.sum(axis=0)
-            acc_sq += (inside**2).sum(axis=0)
-    if kept < 2:
-        raise EstimateInconclusiveError(
-            f"only {kept} of {samples} samples landed inside the polytope"
-        )
-    mean = acc / kept
-    var = np.maximum((acc_sq - kept * mean**2) / (kept - 1), 0.0)
-    stderr = np.sqrt(var / kept)
-    return tuple(float(v) for v in mean), tuple(float(v) for v in stderr)

@@ -1,10 +1,10 @@
-"""Closed-form grid scans, integer bounding boxes and row-block rejection.
+"""Closed-form grid scans and row-block rejection from the chamber.
 
 Each must return exactly what the reference in approx_oracle.py returns:
-equal grid summaries, equal boxes, and equal Monte Carlo estimate tuples
-or the same refusal; game polytopes are checked against the chamber
-reference, which tests every row. Block sizes are patched down in places
-so that small inputs cross many block boundaries.
+equal grid summaries, and equal Monte Carlo estimate tuples or the same
+refusal from the chamber reference, which tests every row. Block sizes
+are patched down in places so that small inputs cross many block
+boundaries.
 """
 
 import tracemalloc
@@ -22,24 +22,16 @@ from powerpoly.game_core import parse_game
 from powerpoly.integer_reps import MAX_GRID_POINTS, _grid_scan
 from powerpoly.polytope import (
     EstimateInconclusiveError,
-    HPolytope,
-    _bounding_box,
     _chamber,
-    _flat_dirichlet,
-    _scaled_rows,
-    _simplex_block,
     build_representation_polytope,
     build_weight_polytope,
     estimate_centroid_mc,
 )
 from approx_oracle import (
-    oracle_bounding_box,
     oracle_dead_rows,
     oracle_estimate_centroid_mc,
     oracle_grid_scan,
 )
-from conftest import poly_from
-from expected_values import TABLE
 from test_game_core import small_games
 
 BUILDERS = (build_weight_polytope, build_representation_polytope)
@@ -69,82 +61,6 @@ COLUMN_CHUNKS = (1, 3, 8_191, (1 << 17) + 1)
 GRID_GAMES = ("[1;1]", "[2;1,1]", "[3;2,1,1]", "[3;2,1,1,1]", "[8;5,3,2,2,1]")
 
 
-UNIT_TRIANGLE = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
-HAND_BUILT = {
-    "unit-triangle": poly_from(2, UNIT_TRIANGLE),
-    "fractional": poly_from(
-        3,
-        [
-            ((Fraction(-1, 2), 0, 0), 0),
-            ((0, -3, 0), Fraction(1, 7)),
-            ((0, 0, -1), 0),
-            ((Fraction(2, 3), Fraction(1, 5), 1), Fraction(5, 4)),
-            ((1, -Fraction(1, 3), 0), Fraction(1, 2)),
-        ],
-    ),
-    "band": poly_from(
-        2,
-        [
-            ((-1, 0), 0),
-            ((0, -1), 0),
-            ((1, 0), 1),
-            ((0, 1), 1),
-            ((1, -1), Fraction(1, 1000)),
-            ((-1, 1), Fraction(1, 1000)),
-        ],
-    ),
-    "chained": poly_from(
-        3,
-        [
-            ((-1, 0, 0), 0),
-            ((1, 0, 0), Fraction(2, 3)),
-            ((-1, -1, 0), 0),
-            ((1, 1, 0), 1),
-            ((0, 1, -1), Fraction(1, 4)),
-            ((0, -1, 1), Fraction(1, 5)),
-        ],
-    ),
-    "empty-box": poly_from(1, [((1,), 0), ((-1,), -1)]),
-    # simplex block (0, 2) around a coordinate drawn from its box, and a
-    # row with gcd 2, whose floats are not its primitive integer row's
-    "gapped": poly_from(
-        3,
-        [
-            ((-1, 0, 0), 0),
-            ((0, 0, -1), 0),
-            ((2, 0, 2), 2),
-            ((0, -1, 0), Fraction(1, 2)),
-            ((0, 1, 0), 1),
-            ((-1, 1, 1), Fraction(3, 4)),
-        ],
-    ),
-    # x <= y scaled by 1e-13: the 1e-12 slack tolerance applies to the
-    # row as given, so it accepts the whole triangle, and only floats
-    # rounded from the given Fractions, not from the primitive row, agree
-    "tiny-row": poly_from(
-        2,
-        UNIT_TRIANGLE + [((Fraction(1, 10**13), -Fraction(1, 10**13)), 0)],
-    ),
-    # -x0 <= x2 <= x1 <= x0 <= 1 in an order that propagates backwards:
-    # pass 1 moves a bound only at row 2, pass 2 moves one at row 3, past
-    # pass 1's last move, and the lower bound of x0 first moves in pass 3
-    "late-chain": poly_from(
-        3,
-        [
-            ((-1, 0, -1), 0),
-            ((-1, 1, 0), 0),
-            ((1, 0, 0), 1),
-            ((0, -1, 1), 0),
-        ],
-    ),
-    "zero-dimensional": HPolytope(0, []),
-}
-
-
-def box(poly):
-    return _bounding_box(poly.dim, _scaled_rows(poly.constraints)[0])
-
-
 def outcome(estimator, poly, samples, seed, *game):
     """Estimate tuple, or the refusal's message."""
     try:
@@ -153,8 +69,8 @@ def outcome(estimator, poly, samples, seed, *game):
         return str(exc)
 
 
-def assert_same_estimate(poly, samples, seed, game=None):
-    """The library against the reference; the chamber one if `game` built poly."""
+def assert_same_estimate(poly, samples, seed, game):
+    """The library against the all-rows chamber reference on `game`'s polytope."""
     got = outcome(estimate_centroid_mc, poly, samples, seed)
     want = outcome(oracle_estimate_centroid_mc, poly, samples, seed, game)
     if isinstance(want, str):
@@ -162,53 +78,6 @@ def assert_same_estimate(poly, samples, seed, game=None):
         assert isinstance(got, str) and got.startswith(want), got
     else:
         assert got == want
-
-
-# -- bounding boxes -----------------------------------------------------
-
-@pytest.mark.parametrize("builder", BUILDERS)
-def test_boxes_on_catalogue_and_mc_games(builder):
-    for spec in (*TABLE, *MC_GAMES):
-        poly = builder(parse_game(spec))
-        assert box(poly) == oracle_bounding_box(poly), spec
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "unit-triangle",
-        "fractional",
-        "band",
-        "chained",
-        "empty-box",
-        "gapped",
-        "tiny-row",
-        "late-chain",
-    ],
-)
-def test_boxes_on_hand_built_polytopes(name):
-    poly = HAND_BUILT[name]
-    assert box(poly) == oracle_bounding_box(poly)
-
-
-def test_empty_box_is_reported_as_such():
-    (lo, hi), = box(HAND_BUILT["empty-box"])
-    assert lo > hi
-
-
-def test_unbounded_input_raises_in_both():
-    quadrant = poly_from(2, [((-1, 0), 0), ((0, -1), 0), ((1, -1), 3)])
-    with pytest.raises(ValueError):
-        oracle_bounding_box(quadrant)
-    with pytest.raises(ValueError):
-        box(quadrant)
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_games(), st.booleans())
-def test_boxes_on_drawn_games(game, rep):
-    poly = BUILDERS[rep](game)
-    assert box(poly) == oracle_bounding_box(poly)
 
 
 # -- grid scans -----------------------------------------------------------
@@ -280,6 +149,19 @@ def test_grid_scans_at_the_largest_three_voter_total(with_quota):
     )
 
 
+def test_grid_scan_holds_one_block_of_heads():
+    # 529,396 heads: holding them all took 32 MB of int64 arrays
+    game = parse_game("[8;5,3,2,2,1]")
+    _grid_scan(game, 5, True)  # first-call allocations
+    tracemalloc.start()
+    try:
+        _grid_scan(game, 145, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_games(), st.integers(1, 30), st.booleans())
 def test_grid_scans_on_drawn_games(game, total, with_quota):
@@ -320,22 +202,6 @@ def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
     assert_same_estimate(builder(game), (1 << 17) + 999, 11, game)
 
 
-@pytest.mark.parametrize("row_block", [1, 3, 32])
-@pytest.mark.parametrize("name", sorted(HAND_BUILT))
-def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
-    monkeypatch.setattr(polytope, "ROW_BLOCK", row_block)
-    for samples, seed in ((40, 7), (5_000, 3), (60_000, 42)):
-        assert_same_estimate(HAND_BUILT[name], samples, seed)
-
-
-@pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
-@pytest.mark.parametrize("name", sorted(HAND_BUILT))
-def test_estimates_on_hand_built_polytopes_in_column_chunks(monkeypatch, name, chunk):
-    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
-    for samples, seed in ((40, 7), (5_000, 3)):
-        assert_same_estimate(HAND_BUILT[name], samples, seed)
-
-
 @pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_estimates_on_mc_games_in_column_chunks(monkeypatch, builder, chunk):
@@ -350,13 +216,37 @@ def test_estimates_on_mc_games_in_column_chunks(monkeypatch, builder, chunk):
 
 
 @pytest.mark.parametrize("chunk", COLUMN_CHUNKS[1:])
-@pytest.mark.parametrize("name", ["gapped", "tiny-row"])
-def test_estimates_across_batches_in_column_chunks(monkeypatch, name, chunk):
-    # gapped draws box uniforms and a simplex block, so a stream drawn in
-    # any other order than the whole batch's uniforms first shows here;
-    # tiny-row draws a simplex block alone
+@pytest.mark.parametrize(
+    "spec", ["[2;1,3,4,3,2]", "[1;1]"], ids=["quota-and-chamber", "quota-only"]
+)
+def test_estimates_across_batches_in_column_chunks(monkeypatch, spec, chunk):
+    # a representation polytope draws the whole batch's quota uniforms
+    # before its chunks' chamber draws, so a stream drawn in any other
+    # order shows here; [1;1] draws its quotas alone
     monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
-    assert_same_estimate(HAND_BUILT[name], (1 << 17) + 999, 5)
+    game = parse_game(spec)
+    assert_same_estimate(
+        build_representation_polytope(game), (1 << 17) + 999, 5, game
+    )
+
+
+@pytest.mark.parametrize(
+    "samples, seed, estimate, stderr",
+    [
+        (40, 1, "0x1.00bd981884c6fp-1", "0x1.75aca9af55b1ap-5"),
+        (40, 5, "0x1.f310715c5d6bap-2", "0x1.94b5bd5d2aefbp-5"),
+        ((1 << 17) + 999, 1, "0x1.003b65c3b5bdcp-1", "0x1.a0306c644c75bp-11"),
+        ((1 << 17) + 999, 5, "0x1.000cae19c42fcp-1", "0x1.a06baecd22d36p-11"),
+    ],
+)
+def test_lone_voter_quota_estimate_is_pinned(samples, seed, estimate, stderr):
+    # a 1-voter game draws only its quota, from the uniforms and in the
+    # order its estimates have always come from
+    poly = build_representation_polytope(parse_game("[1;1]"))
+    assert estimate_centroid_mc(poly, samples, seed) == (
+        (float.fromhex(estimate),),
+        (float.fromhex(stderr),),
+    )
 
 
 def test_estimate_holds_one_chunk_of_slacks():
@@ -378,31 +268,6 @@ def test_estimate_holds_one_chunk_of_slacks():
     assert peak(300_000) <= one_batch + (64 << 10)
 
 
-def test_gapped_block_is_split_by_a_free_coordinate():
-    rows, _ = _scaled_rows(HAND_BUILT["gapped"].constraints)
-    assert _simplex_block(rows) == ((0, 2), Fraction(1))
-
-
-@pytest.mark.parametrize("k", range(1, 10))
-def test_block_draw_is_numpys_flat_dirichlet(k):
-    # estimate_centroid_mc reproduces its reference only while this holds
-    for seed in (0, 7, 2**32 - 1):
-        for batch in (1, 5, 3_000):
-            rng = np.random.default_rng(seed)
-            got = np.empty((k, batch))
-            _flat_dirichlet(rng, list(got))
-            ref = np.random.default_rng(seed)
-            want = ref.dirichlet(np.ones(k + 1), size=batch)[:, :k].T
-            message = (
-                f"numpy {np.__version__} no longer draws dirichlet(ones({k + 1})) "
-                "as standard exponentials over their left-to-right sum "
-                f"(seed {seed}, batch {batch}); polytope._flat_dirichlet "
-                "must follow its new stream"
-            )
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), message
-            assert rng.bit_generator.state == ref.bit_generator.state, message
-
-
 @pytest.mark.parametrize("n", range(2, 10))
 def test_chamber_draw_is_uniform_on_the_ordered_chamber(n):
     # C's centroid is the mean of its vertices v_j (1/j on the first j
@@ -419,17 +284,15 @@ def test_chamber_draw_is_uniform_on_the_ordered_chamber(n):
 
 
 def test_set_up_is_kept_on_the_polytope(monkeypatch):
-    # a representation polytope draws its quota from the box, and
-    # "gapped" builds both a box and a simplex block
+    # a representation polytope also sets up its quota interval
     game = parse_game("[9;5,4,3,2,1,1]")
-    polys = (build_representation_polytope(game), HAND_BUILT["gapped"])
+    polys = [builder(game) for builder in BUILDERS]
     first = [estimate_centroid_mc(poly, 5_000, 2) for poly in polys]
 
     def set_up(*args):
         raise AssertionError("Monte Carlo set-up ran again")
 
-    monkeypatch.setattr(polytope, "_bounding_box", set_up)
-    monkeypatch.setattr(polytope, "_simplex_block", set_up)
+    monkeypatch.setattr(polytope, "_proposal", set_up)
     assert [estimate_centroid_mc(poly, 5_000, 2) for poly in polys] == first
 
 

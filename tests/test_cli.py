@@ -276,10 +276,10 @@ class TestPolytopeCommand:
     def test_samples_past_the_cap_exit_3_before_drawing(
         self, capsys, monkeypatch
     ):
-        def set_up(rows):
+        def set_up(*args):
             raise AssertionError("Monte Carlo set-up started")
 
-        monkeypatch.setattr(polytope, "_simplex_block", set_up)
+        monkeypatch.setattr(polytope, "_proposal", set_up)
         code, out, err = run(
             capsys,
             "polytope", "--kind", "weight", "--estimate-centroid-mc",

@@ -169,6 +169,20 @@ def test_builders_refuse_past_the_row_cap_before_writing_a_row(
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "builder", [build_weight_polytope, build_representation_polytope]
+)
+def test_exact_stages_refuse_past_the_voter_cap(monkeypatch, builder):
+    # 9 voters: the weight polytope's double description runs for minutes
+    def cone_rays(*args):
+        raise AssertionError("vertex enumeration started")
+
+    monkeypatch.setattr(polytope, "_cone_rays", cone_rays)
+    poly = builder(parse_game("[4;1,1,1,1,1,1,1,1,1]"))
+    with pytest.raises(ScaleExceededError, match="at most 8 voters"):
+        volume(poly)
+
+
 class TestVertexEnumeration:
     def test_vertices_satisfy_all_constraints_exactly(self, corpus):
         for game in corpus:
@@ -370,12 +384,6 @@ class TestMonteCarlo:
             assert abs(apx - float(exact)) < 5e-3
         assert all(s > 0 for s in se)
 
-    def test_simplex_proposal_path(self):
-        # x,y >= 0 plus a unit sum row triggers the Dirichlet proposal
-        poly = poly_from(2, UNIT_TRIANGLE)
-        est, _ = estimate_centroid_mc(poly, 200_000, seed=5)
-        assert all(abs(apx - 1 / 3) < 5e-3 for apx in est)
-
     def test_same_seed_is_deterministic(self):
         poly = build_weight_polytope(parse_game("[3;2,1,1]"))
         first = estimate_centroid_mc(poly, 50_000, seed=9)
@@ -387,47 +395,39 @@ class TestMonteCarlo:
         assert estimate_centroid_mc(poly, 10, seed=0) == ((), ())
 
     def test_rejects_nonpositive_sample_count(self):
-        poly = poly_from(2, UNIT_TRIANGLE)
+        poly = build_weight_polytope(parse_game("[3;2,1,1]"))
         with pytest.raises(ValueError):
             estimate_centroid_mc(poly, 0, seed=1)
 
     def test_starved_sampler_is_inconclusive(self):
-        # diagonal band of area ~0.002 inside the unit square: 40 box
-        # draws essentially never land two hits
-        band = poly_from(
-            2,
-            [
-                ((-1, 0), 0),
-                ((0, -1), 0),
-                ((1, 0), 1),
-                ((0, 1), 1),
-                ((1, -1), Fraction(1, 1000)),
-                ((-1, 1), Fraction(1, 1000)),
-            ],
+        # a 9-voter representation polytope: 40 chamber draws essentially
+        # never land two hits
+        poly = build_representation_polytope(
+            parse_game("[20;9,8,7,6,5,4,3,2,1]")
         )
         with pytest.raises(EstimateInconclusiveError):
-            estimate_centroid_mc(band, 40, seed=7)
+            estimate_centroid_mc(poly, 40, seed=7)
 
-    def test_empty_box_is_inconclusive(self):
-        poly = poly_from(1, [((1,), 0), ((-1,), -1)])
-        with pytest.raises(EstimateInconclusiveError):
-            estimate_centroid_mc(poly, 100, seed=3)
+    def test_polytope_without_a_game_is_refused_before_drawing(
+        self, monkeypatch
+    ):
+        def set_up(*args):
+            raise LookupError("set-up or a draw started")
 
-    def test_empty_polytope_inside_its_simplex_block_is_inconclusive(self):
-        # the block covers both coordinates, so no box is built and the
-        # sampler itself finds the polytope empty
-        poly = poly_from(2, UNIT_TRIANGLE + [((-1, 0), -2)])
-        with pytest.raises(EstimateInconclusiveError, match="^only 0 of 100 "):
-            estimate_centroid_mc(poly, 100, seed=3)
+        monkeypatch.setattr(polytope, "_proposal", set_up)
+        monkeypatch.setattr(np.random, "default_rng", set_up)
+        poly = poly_from(2, UNIT_TRIANGLE)
+        with pytest.raises(ValueError, match="built from a game"):
+            estimate_centroid_mc(poly, 1_000, seed=1)
 
     def test_sample_count_past_the_cap_is_refused_before_set_up(
         self, monkeypatch
     ):
-        def set_up(rows):
+        def set_up(*args):
             raise LookupError("set-up started")
 
-        monkeypatch.setattr(polytope, "_simplex_block", set_up)
-        poly = poly_from(2, UNIT_TRIANGLE)
+        monkeypatch.setattr(polytope, "_proposal", set_up)
+        poly = build_weight_polytope(parse_game("[3;2,1,1]"))
         with pytest.raises(ScaleExceededError, match="more than the supported"):
             estimate_centroid_mc(poly, polytope.MAX_MC_SAMPLES + 1, seed=1)
         with pytest.raises(LookupError):
