@@ -1,10 +1,11 @@
-"""Closed-form grid scans and row-block rejection from the chamber.
+"""Closed-form grid scans, quota boxes and row-block rejection from the chamber.
 
 Each must return exactly what the reference in approx_oracle.py returns:
-equal grid summaries, and equal Monte Carlo estimate tuples or the same
-refusal from the chamber reference, which tests every row. Block sizes
-are patched down in places so that small inputs cross many block
-boundaries.
+equal grid summaries, equal quota intervals, and equal Monte Carlo
+estimate tuples or the same refusal from the chamber reference, which
+tests every row. Block sizes are patched down in places so that small
+inputs cross many block boundaries. Polytopes not built from a game are
+refused before any set-up or draw.
 """
 
 import tracemalloc
@@ -22,16 +23,22 @@ from powerpoly.game_core import parse_game
 from powerpoly.integer_reps import MAX_GRID_POINTS, _grid_scan
 from powerpoly.polytope import (
     EstimateInconclusiveError,
+    HPolytope,
     _chamber,
+    _proposal,
     build_representation_polytope,
     build_weight_polytope,
     estimate_centroid_mc,
 )
 from approx_oracle import (
+    oracle_bounding_box,
     oracle_dead_rows,
     oracle_estimate_centroid_mc,
     oracle_grid_scan,
+    oracle_quota_box,
 )
+from conftest import poly_from
+from expected_values import TABLE
 from test_game_core import small_games
 
 BUILDERS = (build_weight_polytope, build_representation_polytope)
@@ -60,6 +67,72 @@ COLUMN_CHUNKS = (1, 3, 8_191, (1 << 17) + 1)
 # One game per voter count for the exhaustive grid comparisons.
 GRID_GAMES = ("[1;1]", "[2;1,1]", "[3;2,1,1]", "[3;2,1,1,1]", "[8;5,3,2,2,1]")
 
+# Polytopes not built from a game: fractional rows, a thin band, an
+# empty one, a row with gcd 2, a row scaled by 1e-13, rows that bound a
+# coordinate only through a chain of others, and a point.
+UNIT_TRIANGLE = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
+HAND_BUILT = {
+    "unit-triangle": poly_from(2, UNIT_TRIANGLE),
+    "fractional": poly_from(
+        3,
+        [
+            ((Fraction(-1, 2), 0, 0), 0),
+            ((0, -3, 0), Fraction(1, 7)),
+            ((0, 0, -1), 0),
+            ((Fraction(2, 3), Fraction(1, 5), 1), Fraction(5, 4)),
+            ((1, -Fraction(1, 3), 0), Fraction(1, 2)),
+        ],
+    ),
+    "band": poly_from(
+        2,
+        [
+            ((-1, 0), 0),
+            ((0, -1), 0),
+            ((1, 0), 1),
+            ((0, 1), 1),
+            ((1, -1), Fraction(1, 1000)),
+            ((-1, 1), Fraction(1, 1000)),
+        ],
+    ),
+    "chained": poly_from(
+        3,
+        [
+            ((-1, 0, 0), 0),
+            ((1, 0, 0), Fraction(2, 3)),
+            ((-1, -1, 0), 0),
+            ((1, 1, 0), 1),
+            ((0, 1, -1), Fraction(1, 4)),
+            ((0, -1, 1), Fraction(1, 5)),
+        ],
+    ),
+    "empty-box": poly_from(1, [((1,), 0), ((-1,), -1)]),
+    "gapped": poly_from(
+        3,
+        [
+            ((-1, 0, 0), 0),
+            ((0, 0, -1), 0),
+            ((2, 0, 2), 2),
+            ((0, -1, 0), Fraction(1, 2)),
+            ((0, 1, 0), 1),
+            ((-1, 1, 1), Fraction(3, 4)),
+        ],
+    ),
+    "tiny-row": poly_from(
+        2,
+        UNIT_TRIANGLE + [((Fraction(1, 10**13), -Fraction(1, 10**13)), 0)],
+    ),
+    "late-chain": poly_from(
+        3,
+        [
+            ((-1, 0, -1), 0),
+            ((-1, 1, 0), 0),
+            ((1, 0, 0), 1),
+            ((0, -1, 1), 0),
+        ],
+    ),
+    "zero-dimensional": HPolytope(0, []),
+}
+
 
 def outcome(estimator, poly, samples, seed, *game):
     """Estimate tuple, or the refusal's message."""
@@ -78,6 +151,47 @@ def assert_same_estimate(poly, samples, seed, game):
         assert isinstance(got, str) and got.startswith(want), got
     else:
         assert got == want
+
+
+# -- quota boxes ----------------------------------------------------------
+
+def box(poly):
+    """The quota interval the library draws from, as floats."""
+    p = _proposal(poly, poly._cache["game"])
+    return list(zip(p.lo.tolist(), p.hi.tolist()))
+
+
+def oracle_box(poly):
+    """The chamber's quota interval within the bounding box, as floats."""
+    return [
+        (float(lo), float(hi))
+        for lo, hi in oracle_quota_box(poly, poly._cache["game"])
+    ]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_boxes_on_catalogue_and_mc_games(builder):
+    # the chamber alone leaves the quota what the bounding box does too;
+    # a weight polytope has no quota
+    for spec in (*TABLE, *MC_GAMES):
+        poly = builder(parse_game(spec))
+        assert box(poly) == oracle_box(poly), spec
+        assert len(box(poly)) == (builder is build_representation_polytope)
+
+
+def test_unbounded_input_raises_in_both():
+    quadrant = poly_from(2, [((-1, 0), 0), ((0, -1), 0), ((1, -1), 3)])
+    with pytest.raises(ValueError):
+        oracle_bounding_box(quadrant)
+    with pytest.raises(ValueError, match="built from a game"):
+        estimate_centroid_mc(quadrant, 1_000, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_games(), st.booleans())
+def test_boxes_on_drawn_games(game, rep):
+    poly = BUILDERS[rep](game)
+    assert box(poly) == oracle_box(poly)
 
 
 # -- grid scans -----------------------------------------------------------
@@ -200,6 +314,39 @@ def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
     monkeypatch.setattr(polytope, "ROW_BLOCK", 2)
     game = parse_game("[2;1,3,4,3,2]")
     assert_same_estimate(builder(game), (1 << 17) + 999, 11, game)
+
+
+def assert_refused_or_point(monkeypatch, poly, samples, seed):
+    """A point has the empty estimate; any other polytope without a game
+    is refused before any set-up or draw."""
+
+    def set_up(*args):
+        raise AssertionError("set-up or a draw started")
+
+    monkeypatch.setattr(polytope, "_proposal", set_up)
+    monkeypatch.setattr(np.random, "default_rng", set_up)
+    if poly.dim == 0:
+        assert estimate_centroid_mc(poly, samples, seed) == ((), ())
+    else:
+        with pytest.raises(ValueError, match="built from a game"):
+            estimate_centroid_mc(poly, samples, seed)
+    assert "mc" not in poly._cache
+
+
+@pytest.mark.parametrize("row_block", [1, 3, 32])
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
+    monkeypatch.setattr(polytope, "ROW_BLOCK", row_block)
+    for samples, seed in ((40, 7), (5_000, 3), (60_000, 42)):
+        assert_refused_or_point(monkeypatch, HAND_BUILT[name], samples, seed)
+
+
+@pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
+@pytest.mark.parametrize("name", ["zero-dimensional"])
+def test_estimates_on_hand_built_polytopes_in_column_chunks(monkeypatch, name, chunk):
+    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    for samples, seed in ((40, 7), (5_000, 3)):
+        assert_refused_or_point(monkeypatch, HAND_BUILT[name], samples, seed)
 
 
 @pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
