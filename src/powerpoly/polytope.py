@@ -16,26 +16,29 @@ game.
 
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
-their zero sets say which constraints are tight where. Vertex
-enumeration refuses a game polytope of more than EXACT_MAX_VOTERS voters
-(check_exact_scale), and with it every exact stage. The polytope is
-cut into simplices by recursive apex coning over facets read off that
-vertex incidence, with no rank test. Volumes and first moments add up
+their zero sets say which constraints are tight where. The same pass
+keeps one vertex table that every later exact stage reads: the rays,
+their common denominator, and per distinct row the bitmask of the
+vertices tight on it. Vertex enumeration refuses a game polytope of more
+than EXACT_MAX_VOTERS voters (check_exact_scale), and with it every
+exact stage; the stages after it refuse an unbounded polytope, which
+double description shows by a ray or line at infinity. The polytope is
+cut into simplices by recursive apex coning over facets read off the
+table's columns, with no rank test. Volumes and first moments add up
 integer determinants (Bareiss) of each cell's homogeneous ray rows
-(x_v, t_v), the rays double description found, over one common
-denominator, so the only Fractions are the final totals. The only
-floating point in this module sits in the Monte Carlo estimator, and
-only it imports numpy, on its first call: building a polytope and every
-exact stage run without numpy loaded. The estimator samples polytopes
-built from a game: it draws the weights from the chamber where they
-fall in the order of the game's voter classes
-(game_core.desirability_classes) and the quota from the interval that
-chamber leaves it, then averages each accepted point over each class of
-equally desirable voters. Rows that hold on the whole proposal region
-are not tested. Points are drawn and tested in column chunks, held
-coordinate-major, and summed as they are accepted, so the estimator
-holds one chunk times ROW_BLOCK slacks at once and never a batch of
-accepted points.
+(x_v, t_v) over the table's common denominator, so the only Fractions
+are the final totals. The only floating point in this module sits in
+the Monte Carlo estimator, and only it imports numpy, on its first call:
+building a polytope and every exact stage run without numpy loaded. The
+estimator samples polytopes built from a game: it draws the weights
+from the chamber where they fall in the order of the game's voter
+classes (game_core.desirability_classes) and the quota from the interval
+that chamber leaves it, then averages each accepted point over each
+class of equally desirable voters. Rows that hold on the whole proposal
+region are not tested. Points are drawn and tested in column chunks,
+held coordinate-major, and summed as they are accepted, so the
+estimator holds one chunk times ROW_BLOCK slacks at once and never a
+batch of accepted points.
 """
 
 from __future__ import annotations
@@ -83,12 +86,14 @@ __all__ = [
 ]
 
 
-# Largest polytope, in constraint rows, the builders build. Building costs
-# about 40 us and 0.9 KB per row and the Monte Carlo set-up about as
-# much again (17,301 rows: 0.5 s build, 105 MB peak RSS with MC; 56,892
-# rows: 2.2 s, 158 MB), so this keeps either within about a second. The
-# weight polytope has |MWC| * |MLC| rows, which passes it from 10 voters
-# on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
+# Largest polytope, in constraint rows, the builders build. The weight
+# polytope of [33;11,10,...,1], 17,301 rows, builds in 0.10-0.14 s (6-8 us
+# per row) and holds 8.4 MB (about 0.5 KB per row); the Monte Carlo set-up
+# adds 0.03 s and 4.9 MB, and a 100,000-sample estimate peaks at 50 MB RSS
+# for the whole process, numpy included (Python 3.11 on 2 vCPUs). So this
+# keeps either well within a second. The weight polytope has
+# |MWC| * |MLC| rows, which passes it from 10 voters on (52,930 rows for
+# [5;1x10], about 6.6M for [70;1..16]).
 MAX_POLYTOPE_ROWS = 20_000
 
 # Most samples one Monte Carlo estimate draws: the largest power of two the
@@ -164,11 +169,12 @@ class Simplex:
 
 
 class HPolytope:
-    """Bounded intersection of closed halfspaces in Q^dim.
+    """Intersection of closed halfspaces in Q^dim.
 
-    Instances are immutable once built; derived data (integer rows,
-    vertices, triangulations, volume, moments) is computed on demand and
-    memoized on the instance.
+    Instances are immutable once built; derived data (integer rows, the
+    vertex table, cells, volume, moments) is computed on demand and
+    memoized on the instance. Only vertex enumeration takes an unbounded
+    one; the exact stages after it raise ValueError.
     """
 
     __slots__ = ("dim", "constraints", "_cache")
@@ -372,8 +378,9 @@ def _cone_rays(rows: list[tuple[tuple[int, ...], int]], d: int):
     Rows are taken as they stand, constant ones too: 0 <= 0 is zero on
     every ray and 0 <= b < 0 leaves no ray with t > 0. Rays come back as
     primitive integer vectors with their zero sets as bitmasks (bit j
-    for rows[j], bit len(rows) for t >= 0). Returns None when a line
-    survives every row: then the polytope has no vertex.
+    for rows[j], bit len(rows) for t >= 0), beside whether a line
+    survives every row: then the polytope has no vertex. Every line has
+    t = 0, so the polytope is empty exactly when no ray has t > 0.
     """
     m = len(rows)
     lines = [tuple(int(i == k) for i in range(d + 1)) for k in range(d + 1)]
@@ -420,7 +427,7 @@ def _cone_rays(rows: list[tuple[tuple[int, ...], int]], d: int):
                     kept.append((ray, common | bit))
             rays = kept
         done |= bit
-    return None if lines else rays
+    return rays, bool(lines)
 
 
 def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
@@ -428,11 +435,19 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
 
     The vertices are the extreme rays (x, t) with t > 0 of the
     homogenized cone over the polytope's distinct integer rows, in
-    first-seen order, found by exact double description; vertex i is
-    x / t for the i-th of the primitive rays kept beside the vertices. A
-    constraint is active at a vertex when its integer row is in the ray's
-    zero set. Raises ScaleExceededError, before any of that work, for a
-    game polytope past check_exact_scale.
+    first-seen order, found by exact double description. A constraint
+    is active at a vertex when its integer row is in the ray's zero set.
+    Raises ScaleExceededError, before any of that work, for a game
+    polytope past check_exact_scale.
+
+    The same pass keeps the vertex table the exact stages read: the
+    vertices' primitive rays, their common denominator T (the lcm of the
+    t), and per distinct row, in first-seen order, the bitmask of the
+    vertices tight on it, zero and repeated columns dropped. Vertices
+    are ordered by their integer numerators x T / t, which is the order
+    of their coordinates, and bit i of a column is vertex i. It also
+    records whether the polytope is unbounded: nonempty (some ray has
+    t > 0) with a ray of t = 0 or a line as well.
     """
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
@@ -443,22 +458,29 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     ids: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for i, row in enumerate(_rows(poly)):
         ids.setdefault(row, []).append(i)
-    rays = _cone_rays(list(ids), d)
-    found: list[tuple[Vertex, tuple[int, ...]]] = []
-    if rays:
-        groups = list(ids.values())
-        for ray, zero in rays:
-            t = ray[d]
-            if t > 0:
-                active = [
-                    i for j, group in enumerate(groups) if zero >> j & 1 for i in group
-                ]
-                coords = tuple(Fraction(c, t) for c in ray[:d])
-                found.append((Vertex(coords, frozenset(active)), ray))
-        found.sort(key=lambda vr: vr[0].coords)
-    poly._cache["vertices"] = [v for v, _ in found]
-    poly._cache["rays"] = [ray for _, ray in found]
-    return poly._cache["vertices"]
+    rays, lined = _cone_rays(list(ids), d)
+    found = [(ray, zero) for ray, zero in rays if ray[d]]  # t >= 0 on every ray
+    poly._cache["unbounded"] = bool(found) and (lined or len(found) < len(rays))
+    if lined:
+        found = []
+    den = lcm(*(ray[d] for ray, _ in found))
+    found.sort(key=lambda rz: [c * (den // rz[0][d]) for c in rz[0][:d]])
+    groups = list(ids.values())
+    cols = [0] * len(groups)
+    vertices = []
+    for i, (ray, zero) in enumerate(found):
+        active = []
+        for j, group in enumerate(groups):
+            if zero >> j & 1:
+                active += group
+                cols[j] |= 1 << i
+        coords = tuple(Fraction(c, ray[d]) for c in ray[:d])
+        vertices.append(Vertex(coords, frozenset(active)))
+    poly._cache["vertices"] = vertices
+    poly._cache["rays"] = [ray for ray, _ in found]
+    poly._cache["den"] = den
+    poly._cache["cols"] = list(dict.fromkeys(col for col in cols if col))
+    return vertices
 
 
 # -- triangulation and exact integrals ----------------------------------
@@ -503,24 +525,28 @@ def _cone_cells(
 
 
 def _cells(poly: HPolytope) -> list[tuple[int, ...]]:
-    """Memoized cells as index tuples into enumerate_vertices(poly)."""
-    if "cells" in poly._cache:
-        return poly._cache["cells"]
-    verts = enumerate_vertices(poly)
-    if not verts:
-        cells = []
-    elif poly.dim == 0:
-        cells = [(0,)]
-    else:
-        incidence: dict[int, int] = {}
-        for i, v in enumerate(verts):
-            for j in v.active:
-                incidence[j] = incidence.get(j, 0) | 1 << i
-        cols = list(dict.fromkeys(incidence[j] for j in sorted(incidence)))
-        full = (1 << len(verts)) - 1
-        cells = _cone_cells(cols, full, poly.dim, {})
-    poly._cache["cells"] = cells
-    return cells
+    """Memoized cells as index tuples into enumerate_vertices(poly).
+
+    The constraint columns come from the vertex table as they stand.
+    Every exact stage reads the cells, so this is where an unbounded
+    polytope is refused, with ValueError.
+    """
+    if "cells" not in poly._cache:
+        enumerate_vertices(poly)
+        if poly._cache["unbounded"]:
+            raise ValueError(
+                "the polytope is unbounded; exact volume, moments, centroid "
+                "and triangulation need a bounded one"
+            )
+        count = len(poly._cache["rays"])
+        if not count:
+            cells = []
+        elif poly.dim == 0:
+            cells = [(0,)]
+        else:
+            cells = _cone_cells(poly._cache["cols"], (1 << count) - 1, poly.dim, {})
+        poly._cache["cells"] = cells
+    return poly._cache["cells"]
 
 
 def triangulate(poly: HPolytope) -> list[Simplex]:
@@ -531,27 +557,27 @@ def triangulate(poly: HPolytope) -> list[Simplex]:
     Facets are found by vertex incidence alone: within a face, the vertex
     sets tight on one constraint that are maximal by inclusion. A
     polytope that is not full-dimensional has no cells, since its
-    recursion runs out of vertices before it reaches the edges.
+    recursion runs out of vertices before it reaches the edges. Each
+    call builds its Simplex list afresh from the memoized cells. Raises
+    ValueError for an unbounded polytope.
     """
-    if "simplices" not in poly._cache:
-        verts = enumerate_vertices(poly)
-        poly._cache["simplices"] = [
-            Simplex(tuple(verts[i] for i in cell)) for cell in _cells(poly)
-        ]
-    return poly._cache["simplices"]
+    cells = _cells(poly)
+    verts = enumerate_vertices(poly)
+    return [Simplex(tuple(verts[i] for i in cell)) for cell in cells]
 
 
 def _integrate(poly: HPolytope) -> None:
     """Cache volume and moments from one pass over the triangulation.
 
     Each vertex v is x_v / t_v for its primitive ray (x_v, t_v) from
-    double description, and T is the lcm of the t_v. With the integer
-    numerators R_v = x_v T / t_v, a cell's volume is |D| / (d! T^d),
-    where D is the determinant of its edge matrix of R_v, and the
-    integral of x_i over it is that volume times the vertex average of
-    R_v,i / T. So the pass adds up integers only: |D| into the volume sum
-    and onto a weight per vertex of the cell, the moments being
-    sum_v weight_v R_v,i. A lone vertex (dim 0) is one cell of volume 1.
+    double description, and T is the vertex table's common denominator,
+    the lcm of the t_v. With the integer numerators R_v = x_v T / t_v, a
+    cell's volume is |D| / (d! T^d), where D is the determinant of its
+    edge matrix of R_v, and the integral of x_i over it is that volume
+    times the vertex average of R_v,i / T. So the pass adds up integers
+    only: |D| into the volume sum and onto a weight per vertex of the
+    cell, the moments being sum_v weight_v R_v,i. A lone vertex (dim 0)
+    is one cell of volume 1.
 
     D itself is one bareiss determinant of the cell's homogeneous ray
     rows (x_v, t_v): D = det(x_v, t_v) * prod(T / t_v) / T. Those rows
@@ -559,13 +585,13 @@ def _integrate(poly: HPolytope) -> None:
     denominator.
     """
     d = poly.dim
-    enumerate_vertices(poly)
+    cells = _cells(poly)
     rays = poly._cache["rays"]
-    den = lcm(*(ray[d] for ray in rays))
+    den = poly._cache["den"]
     lift = [den // ray[d] for ray in rays]
     weight = [0] * len(rays)
     total = 0
-    for cell in _cells(poly):
+    for cell in cells:
         rnk, det = bareiss([list(rays[i]) for i in cell])
         if rnk <= d:
             continue
@@ -585,7 +611,11 @@ def _integrate(poly: HPolytope) -> None:
 
 
 def volume(poly: HPolytope) -> Fraction:
-    """Exact volume; a single point (dim 0) has volume 1 by convention."""
+    """Exact volume; a single point (dim 0) has volume 1 by convention.
+
+    Raises ValueError for an unbounded polytope, as do moments,
+    centroid, triangulate and polytope_to_json.
+    """
     if "volume" not in poly._cache:
         _integrate(poly)
     return poly._cache["volume"]
@@ -892,7 +922,10 @@ def estimate_centroid_mc(
 
 
 def polytope_to_json(poly: HPolytope) -> dict:
-    """Schema-stable dump: dim, constraints, vertices, volume, moments."""
+    """Schema-stable dump: dim, constraints, vertices, volume, moments.
+
+    Raises ValueError for an unbounded polytope, which has no volume.
+    """
     return {
         "dim": poly.dim,
         "constraints": [

@@ -37,11 +37,23 @@ def mc_seed(game):
 
 
 def random_games(count=20, voters=5, seed=20260819):
-    """Deterministic sample of distinct games on `voters` voters."""
+    """Deterministic sample of distinct games on `voters` voters.
+
+    Weights are drawn from 0-4, so few voters have few distinct games (4
+    on two voters, 18 on three). Raises ValueError after 100 draws per
+    game asked for; 20 games on 4-9 voters take at most 32 draws.
+    """
     rng = random.Random(seed)
     games = []
     seen = set()
+    draws = 100 * count
     while len(games) < count:
+        if not draws:
+            raise ValueError(
+                f"only {len(games)} distinct games in {100 * count} draws, "
+                f"fewer than count={count}, on voters={voters}"
+            )
+        draws -= 1
         weights = [rng.randint(0, 4) for _ in range(voters)]
         total = sum(weights)
         if total == 0:

@@ -4,7 +4,9 @@ The triangulation cones the apex over every candidate facet whose affine
 dimension, found by a Fraction rank, is one less than the face's; the
 integrals add Fraction simplex volumes and vertex averages cell by cell.
 Both run in rationals throughout, with their own elimination loops, so
-they share no arithmetic with the integer layer they check.
+they share no arithmetic with the integer layer they check. The
+constraint columns are rebuilt from the public Vertex.active sets, which
+the vertex table that enumerate_vertices keeps must equal.
 """
 
 from fractions import Fraction
@@ -84,6 +86,20 @@ def _triangulate_face(face: tuple[Vertex, ...], k: int, apex_rule: str) -> list:
         for cell in _triangulate_face(sub, k - 1, apex_rule):
             cells.append(cell + (apex,))
     return cells
+
+
+def oracle_columns(poly: HPolytope) -> list[int]:
+    """Vertex bitmask per constraint, rebuilt from the Vertex.active sets.
+
+    One column per constraint index, in index order, with the columns
+    that no vertex is tight on and the repeated ones dropped: the
+    incidence the triangulation reads.
+    """
+    incidence: dict[int, int] = {}
+    for i, v in enumerate(enumerate_vertices(poly)):
+        for j in v.active:
+            incidence[j] = incidence.get(j, 0) | 1 << i
+    return list(dict.fromkeys(incidence[j] for j in sorted(incidence)))
 
 
 def oracle_triangulate(poly: HPolytope, apex_rule: str = "lexmin") -> list[Simplex]:

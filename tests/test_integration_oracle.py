@@ -1,12 +1,15 @@
 """Incidence coning and integer integrals against the Fraction oracle.
 
-Both layers must return identical (lexmin-apex) cell lists, and
-identical volume, moments and centroid (or both refuse the centroid), on
-game polytopes up to seven voters and on hand-built polytopes that are
-0-dimensional, empty, flat, fractional or carry redundant rows.
+Both layers must return identical constraint columns, identical
+(lexmin-apex) cell lists, and identical volume, moments and centroid (or
+both refuse the centroid), on game polytopes up to seven voters and on
+hand-built polytopes that are 0-dimensional, empty, flat, fractional or
+carry redundant rows. Unbounded polytopes are refused by every exact
+stage.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,12 +24,18 @@ from powerpoly.polytope import (
     build_weight_polytope,
     centroid,
     moments,
+    polytope_to_json,
     triangulate,
     volume,
 )
 from conftest import poly_from, random_games
 from expected_values import TABLE
-from integration_oracle import oracle_centroid, oracle_integrals, oracle_triangulate
+from integration_oracle import (
+    oracle_centroid,
+    oracle_columns,
+    oracle_integrals,
+    oracle_triangulate,
+)
 from test_game_core import small_games
 
 BUILDERS = (build_weight_polytope, build_representation_polytope)
@@ -41,6 +50,7 @@ def centroid_or_refusal(fn, *args):
 
 def assert_matches_oracle(poly):
     cells = oracle_triangulate(poly)
+    assert poly._cache["cols"] == oracle_columns(poly)
     assert triangulate(poly) == cells
     integrals = oracle_integrals(poly, cells=cells)
     assert (volume(poly), moments(poly)) == integrals
@@ -59,6 +69,14 @@ def test_catalogue(builder):
 def test_random_five_voter_games(builder):
     for game in random_games():
         assert_matches_oracle(builder(game))
+
+
+def test_random_games_refuses_more_games_than_exist():
+    # weights 0-4 give two voters 4 distinct games
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"count=20.*voters=2"):
+        random_games(count=20, voters=2)
+    assert time.perf_counter() - start < 1
 
 
 def seeded_games(seed=67):
@@ -160,3 +178,18 @@ def test_flat_and_empty_polytopes_refuse_a_centroid():
         assert triangulate(poly) == [] and volume(poly) == 0, name
         with pytest.raises(DegenerateGeometryError):
             centroid(poly)
+
+
+UNBOUNDED = {
+    "quadrant": [((-1, 0), 0), ((0, -1), 0)],
+    "wedge": [((-1, 0), 0), ((0, -1), 0), ((-1, 1), 1)],
+    "strip": [((0, 1), 1), ((0, -1), 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED))
+def test_unbounded_polytopes_are_refused(name):
+    poly = poly_from(2, UNBOUNDED[name])
+    for stage in (volume, moments, centroid, triangulate, polytope_to_json):
+        with pytest.raises(ValueError, match="unbounded"):
+            stage(poly)

@@ -88,6 +88,7 @@ HAND_BUILT = {
         ((Fraction(-2, 7), Fraction(-1, 7)), Fraction(-1, 7)),
     ],
     "quadrant": [((-1, 0), 0), ((0, -1), 0)],
+    "wedge": [((-1, 0), 0), ((0, -1), 0), ((-1, 1), 1)],
     "strip": [((0, 1), 1), ((0, -1), 0)],
 }
 
