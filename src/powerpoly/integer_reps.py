@@ -17,10 +17,18 @@ the minimum of at most five lines with slopes -2..2. The feasible t
 the minimum. Over such an interval the count, the quota count (the sum
 of the gap) and the weight sums are sums of 1, t and t**2, which have
 closed forms. So each head costs one pass, whatever its tail's length.
-Heads are generated in lexicographic blocks of at most CHUNK, one per
-column, so a scan holds one block's arrays, whatever its grid. The scan
-functions import numpy themselves, so importing this module does not
-load it; the first scan in a process pays that import.
+Heads are generated in lexicographic blocks, one per column, so a scan
+holds one block's arrays, whatever its grid. A block has CHUNK heads,
+or fewer for a game of more than 16 minimal winning and maximal losing
+coalitions, so that it never holds more than 16 * CHUNK coalition
+weights. The scan functions import numpy themselves, so importing this
+module does not load it; the first scan in a process pays that import.
+
+A scan's work is its coalition weights: one per head and coalition.
+GRID_BUDGET caps it, pricing a head at its coalitions but at least 16,
+the fixed cost of a head's share of a block's numpy calls. Only a
+one-head scan (n <= 2) may run past int64 on Python ints, which are
+12-30 times slower per head; a scan of more heads is refused there.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .exact_math import decimal_str
@@ -47,9 +56,8 @@ if TYPE_CHECKING:
 __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
+    "GRID_BUDGET",
     "GridSummary",
-    "MAX_GRID_POINTS",
-    "MAX_GRID_VOTERS",
     "convergence_experiment",
     "convergence_to_json",
     "enumerate_integer_feasible_weights",
@@ -57,11 +65,10 @@ __all__ = [
     "grid_summary_to_json",
 ]
 
-CHUNK = 1 << 13  # heads per block
+CHUNK = 1 << 13  # heads per block, for games of at most 16 coalitions
 
-# Voters and compositions one scan may cover; _check_scale applies them.
-MAX_GRID_VOTERS = 5
-MAX_GRID_POINTS = 20_000_000
+# Coalition weights one scan may compute; _check_scale applies it.
+GRID_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -95,32 +102,40 @@ def _structure_matrices(game: WeightedGame) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     def mat(masks):
-        return np.array(
-            [[mask >> i & 1 for i in range(game.n)] for mask in sorted(masks)],
-            dtype=np.int64,
-        )
+        # row j, column i: bit i of the j-th mask in ascending order
+        masks = np.array(sorted(masks), dtype=np.int64)
+        return (masks[:, None] >> np.arange(game.n) & 1).astype(np.int8)
 
     return mat(game.minimal_winning), mat(game.maximal_losing)
 
 
-def _check_scale(game: WeightedGame, total: int) -> None:
+def _price(game: WeightedGame) -> int:
+    """Coalition weights one head costs: |MWC| + |MLC|, at least 16."""
+    return max(len(game.minimal_winning) + len(game.maximal_losing), 16)
+
+
+def _check_scale(game: WeightedGame, total) -> int:
+    """The total as an int, once a scan of it is known to fit the budget."""
+    try:
+        total = index(total)
+    except TypeError:
+        raise GameFormatError(f"total must be an integer, not {total!r}") from None
     if total < 1:
         raise GameFormatError("total must be positive")
-    if game.n > MAX_GRID_VOTERS:
+    heads = comb(total + game.n - 2, max(game.n - 2, 0))
+    if heads > 1 and not _int64_holds(total):
+        raise ScaleExceededError(f"grid for total {total} overflows int64")
+    if heads * _price(game) > GRID_BUDGET:
         raise ScaleExceededError(
-            f"integer grid scans support at most {MAX_GRID_VOTERS} voters"
+            f"grid for total {total} has {heads} heads of {_price(game)} "
+            f"coalition weights, more than the supported {GRID_BUDGET}"
         )
-    points = comb(total + game.n - 1, game.n - 1)
-    if points > MAX_GRID_POINTS:
-        raise ScaleExceededError(
-            f"grid for total {total} has {points} points, "
-            f"more than the supported {MAX_GRID_POINTS}"
-        )
+    return total
 
 
-def _head_blocks(width: int, total: int) -> Iterator[np.ndarray]:
+def _head_blocks(width: int, total: int, size: int) -> Iterator[np.ndarray]:
     """The width-tuples of nonnegative integers with sum <= total, in lex
-    order, CHUNK at a time: one int64 array per block, one column per tuple.
+    order, size at a time: one int64 array per block, one column per tuple.
 
     Each tuple is unranked on its own. Among the w-tuples with sum <= R,
     of which there are N(w, R) = C(R + w, w), the N(w, m) with first
@@ -139,8 +154,8 @@ def _head_blocks(width: int, total: int) -> Iterator[np.ndarray]:
         while len(tables) < width - 1:
             tables.append(np.cumsum(tables[-1]))
     heads = comb(total + width, width)
-    for start in range(0, heads, CHUNK):
-        rank = np.arange(start, min(start + CHUNK, heads), dtype=np.int64)
+    for start in range(0, heads, size):
+        rank = np.arange(start, min(start + size, heads), dtype=np.int64)
         budget = np.full_like(rank, total)
         block = np.empty((width, len(rank)), dtype=np.int64)
         for i, table in enumerate(reversed(tables)):
@@ -170,9 +185,9 @@ def _int64_holds(total: int) -> bool:
     Per head, the sums of t and t**2, their products with a gap line and
     the running sums over the pieces stay under 3 * (total + 1)**3; a
     block adds up at most CHUNK heads' weighted counts of at most
-    (total + 1)**3 each. So int64 holds every total below 65,535, which
-    covers every n >= 3 grid MAX_GRID_POINTS admits; larger totals, at
-    n = 2 with its one head, run on Python ints throughout.
+    (total + 1)**3 each. So int64 holds every total below 65,535.
+    _check_scale refuses larger totals for n >= 3; at n <= 2, with one
+    head, they run on Python ints throughout.
     """
     return CHUNK * (total + 1) ** 3 < 1 << 61
 
@@ -208,7 +223,9 @@ def _grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:
     win, lose = map(by_slope, _structure_matrices(game))
     count = 0
     sums = [0] * n
-    for heads in _head_blocks(n - 2, total):
+    # a block's products hold at most 16 * CHUNK coalition weights
+    size = max(CHUNK * 16 // _price(game), 1)
+    for heads in _head_blocks(n - 2, total, size):
         # row i < n-2 of x is weight i, the last row is the rest r of the total
         x = np.vstack([heads, total - heads.sum(axis=0)]).astype(dtype)
         xw = x.astype(weigh)
@@ -276,8 +293,7 @@ def enumerate_integer_feasible_weights(
     game: WeightedGame, total: int
 ) -> GridSummary:
     """Count and average the feasible integer weight vectors of sum `total`."""
-    _check_scale(game, total)
-    return _grid_scan(game, total, with_quota=False)
+    return _grid_scan(game, _check_scale(game, total), with_quota=False)
 
 
 def enumerate_integer_representations(
@@ -289,8 +305,7 @@ def enumerate_integer_representations(
     quota between its heaviest losing and lightest winning coalition; the
     average weighs vectors by that multiplicity.
     """
-    _check_scale(game, total)
-    return _grid_scan(game, total, with_quota=True)
+    return _grid_scan(game, _check_scale(game, total), with_quota=True)
 
 
 def convergence_experiment(
@@ -301,17 +316,14 @@ def convergence_experiment(
     The limit is the average weight index, or the average representation
     index when `with_quota` is set. Each row reports the l1 distance of
     its grid average to the limit (None when the grid was empty). Every
-    total is checked against the grid scale before the limit or any scan
-    is computed.
+    total is checked to be a positive integer within the grid budget
+    before the limit or any scan is computed.
     """
     if not totals:
         raise GameFormatError("empty totals list")
     if any(b <= a for a, b in zip(totals, totals[1:])):
         raise GameFormatError("totals must be strictly ascending")
-    if totals[0] < 1:
-        raise GameFormatError("totals must be positive")
-    for total in totals:
-        _check_scale(game, int(total))
+    totals = [_check_scale(game, total) for total in totals]
     limit = (
         average_representation_index(game)
         if with_quota
@@ -319,7 +331,7 @@ def convergence_experiment(
     )
     rows = []
     for total in totals:
-        summary = _grid_scan(game, int(total), with_quota)
+        summary = _grid_scan(game, total, with_quota)
         dist = (
             l1_distance(summary.average, limit.values)
             if summary.count

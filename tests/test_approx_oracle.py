@@ -11,7 +11,6 @@ refused before any set-up or draw.
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from powerpoly import integer_reps, polytope
 from powerpoly.game_core import parse_game
-from powerpoly.integer_reps import MAX_GRID_POINTS, _grid_scan
+from powerpoly.integer_reps import _grid_scan
 from powerpoly.polytope import (
     EstimateInconclusiveError,
     HPolytope,
@@ -254,13 +253,48 @@ def test_two_voter_tails_around_the_block_size(offset):
 
 @pytest.mark.parametrize("with_quota", [False, True])
 def test_grid_scans_at_the_largest_three_voter_total(with_quota):
-    # the gap along each tail has all five slopes -2..2 in this game
+    # the gap along each tail has all five slopes -2..2 in this game; 6,323
+    # was the largest total a 20M-point cap admitted at three voters
     total = 6_323
-    assert comb(total + 2, 2) <= MAX_GRID_POINTS < comb(total + 3, 2)
     game = parse_game("[2;1,1,1]")
     assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
         game, total, with_quota
     )
+
+
+@pytest.mark.parametrize("with_quota", [False, True])
+@pytest.mark.parametrize(
+    "spec,totals",
+    [
+        ("[10;6,5,4,3,2,1]", (5, 21)),
+        ("[2;1,1,1,0,0,0]", (6, 12)),
+        ("[10;6,5,4,3,2,1,1]", (7, 15)),
+        ("[4;1,1,1,1,1,1,1]", (7, 13)),
+        ("[3;2,1,1,0,0,0,0]", (8, 11)),
+    ],
+)
+def test_grid_scans_at_six_and_seven_voters(spec, totals, with_quota):
+    # the first two games' integer grids start at their weight sums, 21
+    # and 22; the others have feasible points at every total listed but 15
+    game = parse_game(spec)
+    for total in totals:
+        assert _grid_scan(game, total, with_quota) == oracle_grid_scan(
+            game, total, with_quota
+        ), total
+
+
+def test_grid_blocks_shrink_with_the_coalitions():
+    # 12,870 minimal winning and 11,440 maximal losing coalitions; with
+    # one block of all 680 heads this scan peaked at 40 MB traced
+    game = parse_game(f"[8;{','.join(['1'] * 16)}]")
+    tracemalloc.start()
+    try:
+        summary = _grid_scan(game, 3, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.count == 0
+    assert peak < 16 << 20, peak
 
 
 def test_grid_scan_holds_one_block_of_heads():

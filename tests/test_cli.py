@@ -453,11 +453,19 @@ class TestIntrepsCommand:
         assert code == 2
 
     def test_six_voters_exit_3(self, capsys):
+        # six voters at total 100 are past the grid budget
         code, _, _ = run(
             capsys,
-            "intreps", "--total", "10", "--game", "[4;1,1,1,1,1,1]",
+            "intreps", "--total", "100", "--game", "[4;1,1,1,1,1,1]",
         )
         assert code == 3
+
+    def test_three_voters_past_int64_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "intreps", "--total", "65535", "--game", "[2;1,1,1]"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: grid for total 65535 overflows int64\n"
 
     @pytest.mark.parametrize("quota", [[], ["--with-quota"]])
     def test_convergence_refuses_before_the_exact_limit(
@@ -470,11 +478,14 @@ class TestIntrepsCommand:
         monkeypatch.setattr(integer_reps, "average_representation_index", refuse)
         code, out, err = run(
             capsys,
-            "intreps", "--convergence", "10,20", *quota,
+            "intreps", "--convergence", "10,20,200", *quota,
             "--game", "[18;8,7,6,5,4,3,2,1]",
         )
         assert (code, out) == (3, "")
-        assert err == "error: integer grid scans support at most 5 voters\n"
+        assert err == (
+            "error: grid for total 200 has 98619368491 heads of 48 coalition"
+            " weights, more than the supported 100000000\n"
+        )
 
     def test_empty_totals_list(self, capsys):
         code, out, err = run(

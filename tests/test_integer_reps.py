@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from powerpoly import (
@@ -119,10 +120,12 @@ class TestRepresentationCounts:
         assert s.count == (total * total - 1) // 4
         assert s.average == (Fraction(1, 2), Fraction(1, 2))
 
-    @pytest.mark.parametrize("total", [19_999_998, 19_999_999])
+    @pytest.mark.parametrize("total", [19_999_998, 19_999_999, 10**12])
     def test_largest_two_voter_totals_for_a_dictator(self, total):
         # [1;1,0] on (t, total - t): the gap is 2t - total, so the feasible
-        # t are those above total / 2, each with 2t - total quotas
+        # t are those above total / 2, each with 2t - total quotas. The
+        # first two totals were the largest a 20M-point cap admitted; the
+        # last runs the one head on Python ints, far past it
         game = parse_game("[1;1,0]")
         s0, s1, s2 = power_sums(total // 2 + 1, total)
 
@@ -229,6 +232,12 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_experiment(parse_game("[3;2,1,1]"), (100, 100))
 
+    def test_numpy_totals_give_int_rows(self):
+        game = parse_game("[3;2,1,1]")
+        table = convergence_experiment(game, [np.int64(5), np.int64(10)])
+        assert table == convergence_experiment(game, (5, 10))
+        assert [type(row.summary.total) for row in table.rows] == [int, int]
+
 
 def test_json_renderers_refuse_past_thousand_places():
     game = parse_game("[3;2,1,1]")
@@ -261,15 +270,22 @@ class TestConvergenceScale:
         "spec", ["[18;8,7,6,5,4,3,2,1]", "[20;9,8,7,6,5,4,3,2,1]"]
     )
     def test_too_many_voters(self, spec, with_quota):
-        with pytest.raises(ScaleExceededError, match="at most 5 voters"):
-            convergence_experiment(parse_game(spec), (10, 20), with_quota)
+        # too many voters for the total: at 8-9 voters, 200 is past the
+        # grid budget, while 10 and 20 are within it
+        with pytest.raises(ScaleExceededError, match="grid for total 200 "):
+            convergence_experiment(parse_game(spec), (10, 20, 200), with_quota)
 
     @pytest.mark.parametrize("with_quota", [False, True])
     def test_oversized_last_total(self, with_quota):
-        with pytest.raises(ScaleExceededError, match="grid for total 200"):
+        # 10,827,401 heads of 16 coalition weights
+        with pytest.raises(ScaleExceededError, match="grid for total 400"):
             convergence_experiment(
-                parse_game("[8;5,3,2,2,1]"), (10, 20, 200), with_quota
+                parse_game("[8;5,3,2,2,1]"), (10, 20, 400), with_quota
             )
+
+    def test_non_integral_total(self):
+        with pytest.raises(GameFormatError, match="must be an integer, not 10.7"):
+            convergence_experiment(parse_game("[3;2,1,1]"), (5, 10.7))
 
 
 class TestScaleLimits:
@@ -289,14 +305,53 @@ class TestScaleLimits:
             enumerate_integer_feasible_weights(parse_game("[2;1,1,1]"), 0)
 
     def test_rejects_six_voters(self):
+        # six voters at total 100: 4,598,126 heads of 35 coalition weights
         with pytest.raises(ScaleExceededError):
             enumerate_integer_feasible_weights(
-                parse_game("[4;1,1,1,1,1,1]"), 10
+                parse_game("[4;1,1,1,1,1,1]"), 100
             )
 
     def test_rejects_oversized_grid(self):
-        # five voters at total 300 is ~3.5e8 compositions
+        # five voters at total 400: 10,827,401 heads of 20 coalition weights
         with pytest.raises(ScaleExceededError):
             enumerate_integer_representations(
-                parse_game("[3;1,1,1,1,1]"), 300
+                parse_game("[3;1,1,1,1,1]"), 400
             )
+
+    def test_budget_counts_heads_times_coalitions(self):
+        # [10;6,5,4,3,2,1,1] prices a head at 14 + 12 = 26 coalition
+        # weights, so 3,819,816 heads at total 51 fit 1e8 and 4,187,106
+        # at 52 do not
+        game = parse_game("[10;6,5,4,3,2,1,1]")
+        assert 26 * 3_819_816 <= integer_reps.GRID_BUDGET < 26 * 4_187_106
+        assert integer_reps._check_scale(game, 51) == 51
+        with pytest.raises(ScaleExceededError, match="4187106 heads of 26 "):
+            enumerate_integer_feasible_weights(game, 52)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [enumerate_integer_feasible_weights, enumerate_integer_representations],
+    )
+    def test_largest_three_voter_total(self, scan):
+        # 65,535 heads of 16 coalition weights; a block of such heads
+        # still fits int64
+        s = scan(parse_game("[2;1,1,1]"), 65_534)
+        assert s.total == 65_534
+        assert s.average == (Fraction(1, 3),) * 3
+        with pytest.raises(ScaleExceededError, match="overflows int64"):
+            scan(parse_game("[2;1,1,1]"), 65_535)
+
+    @pytest.mark.parametrize("total", [10.7, 10.0, Fraction(10), "10"])
+    def test_rejects_non_integral_totals(self, total):
+        for scan in (
+            enumerate_integer_feasible_weights,
+            enumerate_integer_representations,
+        ):
+            with pytest.raises(GameFormatError, match="must be an integer"):
+                scan(parse_game("[3;2,1,1]"), total)
+
+    def test_accepts_numpy_totals(self):
+        game = parse_game("[3;2,1,1]")
+        s = enumerate_integer_representations(game, np.int64(100))
+        assert s == enumerate_integer_representations(game, 100)
+        assert type(s.total) is int
