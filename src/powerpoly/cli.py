@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .canonical_games import canonical_games
 from .exact_math import MAX_PRECISION, decimal_str
@@ -40,6 +39,7 @@ from .integer_reps import (
 )
 from .polytope import (
     EstimateInconclusiveError,
+    _vertex_table,
     build_representation_polytope,
     build_weight_polytope,
     centroid,
@@ -108,7 +108,7 @@ def _cmd_index(args) -> int:
     if index.avg_quota is not None:
         print(f"avg quota: {index.avg_quota}")
     if axioms is not None:
-        for name, holds in asdict(axioms).items():
+        for name, holds in axioms._asdict().items():
             print(f"{name.replace('_', ' ')}: {'yes' if holds else 'no'}")
     return 0
 
@@ -161,9 +161,8 @@ def _cmd_polytope(args) -> int:
         lines.append("mc centroid: " + " ".join(f"{v:.{places}f}" for v in est))
         lines.append("mc stderr: " + " ".join(f"{v:.{places}f}" for v in err))
     if not lines:
-        verts = enumerate_vertices(poly)
         lines.append(f"dim: {poly.dim}")
-        lines.append(f"vertices: {len(verts)}")
+        lines.append(f"vertices: {len(_vertex_table(poly))}")
         lines.append(f"volume: {volume(poly)}")
         lines.append(f"centroid: {_values_line(centroid(poly))}")
     print("\n".join(lines))

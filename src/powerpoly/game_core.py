@@ -12,10 +12,9 @@ literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact_math import parse_rational
 
@@ -78,8 +77,7 @@ def coalition_str(mask: Coalition) -> str:
     return "{" + ",".join(str(v) for v in members(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class NormalizedRepresentation:
+class NormalizedRepresentation(NamedTuple):
     """Quota and weights rescaled so the weights sum to one."""
 
     quota: Fraction

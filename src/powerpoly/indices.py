@@ -5,14 +5,18 @@ the average representation index is the weight part of the barycenter of
 its representation polytope, which also yields an average quota. Both are
 exact rationals, sum to one, and (unlike the Shapley-Shubik index in
 general) are themselves feasible weight vectors for the game they score.
+
+Results come as NamedTuples, not dataclasses, so that importing the
+package loads neither `dataclasses` nor `inspect`: IndexVector, which
+checks its values whenever one is made, and AxiomReport, whose field
+order is the order of the axioms in the CLI's output and JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_math import decimal_str
 from .game_core import (
@@ -52,28 +56,36 @@ KIND_SSI = "ssi"
 KIND_AVG_WEIGHT = "avg-weight"
 KIND_AVG_REP = "avg-rep"
 
-@dataclass(frozen=True)
-class IndexVector:
-    """Per-voter scores summing to one.
-
-    `avg_quota` is populated only by the average representation index
-    (and its dummy-revealing variant), where the quota coordinate of the
-    centroid is meaningful.
-    """
-
+class _IndexFields(NamedTuple):
     values: tuple[Fraction, ...]
     kind: str
     avg_quota: Fraction | None = None
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
+
+class IndexVector(_IndexFields):
+    """Per-voter scores summing to one.
+
+    `avg_quota` is populated only by the average representation index
+    (and its dummy-revealing variant), where the quota coordinate of the
+    centroid is meaningful. The values are checked whenever a vector is
+    made, by `_replace` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values, kind, avg_quota=None):
+        if any(v < 0 for v in values):
             raise ValueError("index values must be nonnegative")
-        if sum(self.values, Fraction(0)) != 1:
+        if sum(values, Fraction(0)) != 1:
             raise ValueError("index values must sum to one")
+        return super().__new__(cls, values, kind, avg_quota)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     symmetric: bool
     positive: bool
     efficient: bool
@@ -202,5 +214,5 @@ def index_to_json(
     if index.avg_quota is not None:
         doc["avg_quota"] = str(index.avg_quota)
     if axioms is not None:
-        doc["axioms"] = asdict(axioms)
+        doc["axioms"] = axioms._asdict()
     return doc

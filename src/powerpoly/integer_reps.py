@@ -33,12 +33,11 @@ one-head scan (n <= 2) may run past int64 on Python ints, which are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import index
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .exact_math import decimal_str
 from .game_core import GameFormatError, ScaleExceededError, WeightedGame, l1_distance
@@ -71,8 +70,7 @@ CHUNK = 1 << 13  # heads per block, for games of at most 16 coalitions
 GRID_BUDGET = 100_000_000
 
 
-@dataclass(frozen=True)
-class GridSummary:
+class GridSummary(NamedTuple):
     """Aggregate of one grid scan.
 
     `average` is relative to the total (entries sum to one); it is empty
@@ -86,14 +84,12 @@ class GridSummary:
     with_quota: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     summary: GridSummary
     l1_to_limit: Fraction | None
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     rows: tuple[ConvergenceRow, ...]
     limit: IndexVector
 

@@ -12,17 +12,23 @@ raise ScaleExceededError before writing one; otherwise they write each
 row in integers and keep those rows, and the game, with the polytope;
 every later stage starts from primitive integer rows, derived once per
 polytope from the Fractions only when the polytope was not built from a
-game.
+game. A game polytope writes its Constraint objects, labels included,
+only when its `constraints` are first read (polytope --json, library
+callers); no exact stage and no estimate reads them. The value types
+here, like the package's others, are NamedTuples, which a process
+defines far faster than dataclasses.
 
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
 their zero sets say which constraints are tight where. The same pass
 keeps one vertex table that every later exact stage reads: the rays,
 their common denominator, and per distinct row the bitmask of the
-vertices tight on it. Vertex enumeration refuses a game polytope of more
-than EXACT_MAX_VOTERS voters (check_exact_scale), and with it every
-exact stage; the stages after it refuse an unbounded polytope, which
-double description shows by a ray or line at infinity. The polytope is
+vertices tight on it. Only enumerate_vertices turns the table into
+Vertex objects, with Fraction coordinates, on its first call. Vertex
+enumeration refuses a game polytope of more than EXACT_MAX_VOTERS
+voters (check_exact_scale), and with it every exact stage; the stages
+after it refuse an unbounded polytope, which double description shows
+by a ray or line at infinity. The polytope is
 cut into simplices by recursive apex coning over facets read off the
 table's columns, with no rank test. Volumes and first moments add up
 integer determinants (Bareiss) of each cell's homogeneous ray rows
@@ -43,12 +49,11 @@ batch of accepted points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_math import bareiss
 from .game_core import (
@@ -144,8 +149,7 @@ class EstimateInconclusiveError(RuntimeError):
     """Monte Carlo run accepted too few samples to say anything."""
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One closed halfspace a . x <= b."""
 
     a: tuple[Fraction, ...]
@@ -153,16 +157,14 @@ class Constraint:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """Extreme point with the indices of the constraints tight at it."""
 
     coords: tuple[Fraction, ...]
     active: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(NamedTuple):
     """Affinely independent vertex tuple; a cell of a triangulation."""
 
     vertices: tuple[Vertex, ...]
@@ -173,11 +175,12 @@ class HPolytope:
 
     Instances are immutable once built; derived data (integer rows, the
     vertex table, cells, volume, moments) is computed on demand and
-    memoized on the instance. Only vertex enumeration takes an unbounded
-    one; the exact stages after it raise ValueError.
+    memoized on the instance, and so are the constraints of a polytope
+    built from a game. Only vertex enumeration takes an unbounded one;
+    the exact stages after it raise ValueError.
     """
 
-    __slots__ = ("dim", "constraints", "_cache")
+    __slots__ = ("dim", "_constraints", "_cache")
 
     def __init__(self, dim: int, constraints: Iterable[Constraint]) -> None:
         if dim < 0:
@@ -187,39 +190,48 @@ class HPolytope:
             if len(c.a) != dim:
                 raise ValueError("constraint arity does not match dimension")
         self.dim = dim
-        self.constraints = cons
+        self._constraints: tuple[Constraint, ...] | None = cons
         self._cache: dict = {}
 
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The halfspaces; a game polytope writes its own on first access."""
+        if self._constraints is None:
+            rows = self._cache["rows"]
+            labels = self._cache["labels"](self._cache["game"])
+            self._constraints = tuple(
+                Constraint(tuple(map(_SMALL.__getitem__, a)), _SMALL[b], label)
+                for (a, b), label in zip(rows, labels)
+            )
+        return self._constraints
+
     def __repr__(self) -> str:
-        return f"HPolytope(dim={self.dim}, constraints={len(self.constraints)})"
+        cons = self._constraints
+        count = len(self._cache["rows"] if cons is None else cons)
+        return f"HPolytope(dim={self.dim}, constraints={count})"
 
 
 def _game_polytope(
     game: WeightedGame,
     dim: int,
     rows: list[tuple[tuple[int, ...], int]],
-    labels: list[str],
+    labels: Callable[[WeightedGame], Iterator[str]],
 ) -> HPolytope:
     """Polytope of a builder's integer rows a.x <= b, which it keeps.
 
     Every entry of a game row is a difference of at most four membership
-    bits, so the constraints share a few Fractions. Every row is also
-    primitive, as it holds a +-1: the bound rows and the representation
-    rows have a +-1 entry, and a weight row has b = +-1 unless its two
-    coalitions agree on the last voter, when they differ on another one,
-    whose entry is +-1. So the rows are the estimator's and the vertex
+    bits, so the constraints, written from the rows and `labels(game)`
+    on first access, share a few Fractions. Every row is also primitive, as
+    it holds a +-1: the bound rows and the representation rows have a
+    +-1 entry, and a weight row has b = +-1 unless its two coalitions
+    agree on the last voter, when they differ on another one, whose
+    entry is +-1. So the rows are the estimator's and the vertex
     enumerator's integer rows as they stand. The polytope also keeps the
     game, which the exact scale check and the estimator read.
     """
-    poly = HPolytope(
-        dim,
-        (
-            Constraint(tuple(map(_SMALL.__getitem__, a)), _SMALL[b], label)
-            for (a, b), label in zip(rows, labels)
-        ),
-    )
-    poly._cache["rows"] = rows
-    poly._cache["game"] = game
+    poly = HPolytope(dim, ())
+    poly._constraints = None
+    poly._cache.update(rows=rows, game=game, labels=labels)
     return poly
 
 
@@ -236,25 +248,28 @@ def build_weight_polytope(game: WeightedGame) -> HPolytope:
     d = n - 1
     rows = [(tuple(-1 if j == i else 0 for j in range(d)), 0) for i in range(d)]
     rows.append(((1,) * d, 1))
-    labels = [f"w{i} >= 0" for i in range(1, n + 1)]
 
     def chart(masks):
-        # per coalition C, once: x_i - x_n over its members, x_n, its name
+        # per coalition C, once: x_i - x_n over its members, and x_n
         return [
-            (
-                tuple((c >> i & 1) - (c >> d & 1) for i in range(d)),
-                c >> d & 1,
-                coalition_str(c),
-            )
+            (tuple((c >> i & 1) - (c >> d & 1) for i in range(d)), c >> d & 1)
             for c in sorted(masks)
         ]
 
     losers = chart(game.maximal_losing)
-    for s_row, s_last, s_name in chart(game.minimal_winning):
-        for t_row, t_last, t_name in losers:
+    for s_row, s_last in chart(game.minimal_winning):
+        for t_row, t_last in losers:
             rows.append((tuple(map(sub, t_row, s_row)), s_last - t_last))
-            labels.append(f"w({s_name}) >= w({t_name})")
-    return _game_polytope(game, d, rows, labels)
+    return _game_polytope(game, d, rows, _weight_labels)
+
+
+def _weight_labels(game: WeightedGame) -> Iterator[str]:
+    """The weight polytope's constraint labels, in row order."""
+    yield from (f"w{i} >= 0" for i in range(1, game.n + 1))
+    loser_names = [coalition_str(t) for t in sorted(game.maximal_losing)]
+    for s in sorted(game.minimal_winning):
+        s_name = coalition_str(s)
+        yield from (f"w({s_name}) >= w({t_name})" for t_name in loser_names)
 
 
 def build_representation_polytope(game: WeightedGame) -> HPolytope:
@@ -269,18 +284,25 @@ def build_representation_polytope(game: WeightedGame) -> HPolytope:
     rows = [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
     rows.insert(1, ((1,) + (0,) * (n - 1), 1))
     rows.append(((0,) + (1,) * (n - 1), 1))
-    labels = ["q >= 0", "q <= 1"] + [f"w{i} >= 0" for i in range(1, n + 1)]
     for s in sorted(game.minimal_winning):
         s_last = s >> (n - 1) & 1
         row = tuple(s_last - (s >> i & 1) for i in range(n - 1))
         rows.append(((1,) + row, s_last))
-        labels.append(f"w({coalition_str(s)}) >= q")
     for t in sorted(game.maximal_losing):
         t_last = t >> (n - 1) & 1
         row = tuple((t >> i & 1) - t_last for i in range(n - 1))
         rows.append(((-1,) + row, -t_last))
-        labels.append(f"w({coalition_str(t)}) <= q")
-    return _game_polytope(game, n, rows, labels)
+    return _game_polytope(game, n, rows, _representation_labels)
+
+
+def _representation_labels(game: WeightedGame) -> Iterator[str]:
+    """The representation polytope's constraint labels, in row order."""
+    yield from ("q >= 0", "q <= 1")
+    yield from (f"w{i} >= 0" for i in range(1, game.n + 1))
+    for s in sorted(game.minimal_winning):
+        yield f"w({coalition_str(s)}) >= q"
+    for t in sorted(game.maximal_losing):
+        yield f"w({coalition_str(t)}) <= q"
 
 
 def constraint_count(game: WeightedGame, representation: bool = False) -> int:
@@ -430,27 +452,27 @@ def _cone_rays(rows: list[tuple[tuple[int, ...], int]], d: int):
     return rays, bool(lines)
 
 
-def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
-    """All extreme points, sorted lexicographically by coordinates.
+def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
+    """The vertex table's rays, filling the table on the first call.
 
     The vertices are the extreme rays (x, t) with t > 0 of the
     homogenized cone over the polytope's distinct integer rows, in
-    first-seen order, found by exact double description. A constraint
-    is active at a vertex when its integer row is in the ray's zero set.
-    Raises ScaleExceededError, before any of that work, for a game
-    polytope past check_exact_scale.
+    first-seen order, found by exact double description. Raises
+    ScaleExceededError, before any of that work, for a game polytope
+    past check_exact_scale.
 
-    The same pass keeps the vertex table the exact stages read: the
-    vertices' primitive rays, their common denominator T (the lcm of the
-    t), and per distinct row, in first-seen order, the bitmask of the
-    vertices tight on it, zero and repeated columns dropped. Vertices
-    are ordered by their integer numerators x T / t, which is the order
-    of their coordinates, and bit i of a column is vertex i. It also
-    records whether the polytope is unbounded: nonempty (some ray has
-    t > 0) with a ray of t = 0 or a line as well.
+    The table holds the vertices' primitive rays, their common
+    denominator T (the lcm of the t), and per distinct row, in
+    first-seen order, the bitmask of the vertices tight on it, zero and
+    repeated columns dropped. Vertices are ordered by their integer
+    numerators x T / t, which is the order of their coordinates, and bit
+    i of a column is vertex i. Each ray's zero set and the constraint
+    indices of each distinct row are kept for enumerate_vertices. The
+    table also records whether the polytope is unbounded: nonempty (some
+    ray has t > 0) with a ray of t = 0 or a line as well.
     """
-    if "vertices" in poly._cache:
-        return poly._cache["vertices"]
+    if "rays" in poly._cache:
+        return poly._cache["rays"]
     d = poly.dim
     game = poly._cache.get("game")
     if game is not None:
@@ -465,22 +487,44 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
         found = []
     den = lcm(*(ray[d] for ray, _ in found))
     found.sort(key=lambda rz: [c * (den // rz[0][d]) for c in rz[0][:d]])
-    groups = list(ids.values())
-    cols = [0] * len(groups)
-    vertices = []
-    for i, (ray, zero) in enumerate(found):
-        active = []
-        for j, group in enumerate(groups):
+    cols = [0] * len(ids)
+    for i, (_, zero) in enumerate(found):
+        for j in range(len(ids)):
             if zero >> j & 1:
-                active += group
                 cols[j] |= 1 << i
-        coords = tuple(Fraction(c, ray[d]) for c in ray[:d])
-        vertices.append(Vertex(coords, frozenset(active)))
-    poly._cache["vertices"] = vertices
-    poly._cache["rays"] = [ray for ray, _ in found]
+    poly._cache["groups"] = list(ids.values())
+    poly._cache["zeros"] = [zero for _, zero in found]
     poly._cache["den"] = den
     poly._cache["cols"] = list(dict.fromkeys(col for col in cols if col))
-    return vertices
+    poly._cache["rays"] = [ray for ray, _ in found]
+    return poly._cache["rays"]
+
+
+def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
+    """All extreme points, sorted lexicographically by coordinates.
+
+    They are the vertex table's rays (_vertex_table), built into Vertex
+    objects on the first call and memoized. A constraint is active at a
+    vertex when its integer row is in the ray's zero set. Raises
+    ScaleExceededError, before any work, for a game polytope past
+    check_exact_scale.
+    """
+    if "vertices" not in poly._cache:
+        rays = _vertex_table(poly)
+        d = poly.dim
+        groups = poly._cache["groups"]
+        poly._cache["vertices"] = [
+            Vertex(
+                tuple(Fraction(c, ray[d]) for c in ray[:d]),
+                frozenset(
+                    chain.from_iterable(
+                        group for j, group in enumerate(groups) if zero >> j & 1
+                    )
+                ),
+            )
+            for ray, zero in zip(rays, poly._cache["zeros"])
+        ]
+    return poly._cache["vertices"]
 
 
 # -- triangulation and exact integrals ----------------------------------
@@ -525,20 +569,19 @@ def _cone_cells(
 
 
 def _cells(poly: HPolytope) -> list[tuple[int, ...]]:
-    """Memoized cells as index tuples into enumerate_vertices(poly).
+    """Memoized cells as index tuples into the vertex table's rays.
 
     The constraint columns come from the vertex table as they stand.
     Every exact stage reads the cells, so this is where an unbounded
     polytope is refused, with ValueError.
     """
     if "cells" not in poly._cache:
-        enumerate_vertices(poly)
+        count = len(_vertex_table(poly))
         if poly._cache["unbounded"]:
             raise ValueError(
                 "the polytope is unbounded; exact volume, moments, centroid "
                 "and triangulation need a bounded one"
             )
-        count = len(poly._cache["rays"])
         if not count:
             cells = []
         elif poly.dim == 0:
@@ -631,7 +674,7 @@ def moments(poly: HPolytope) -> tuple[Fraction, ...]:
 def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
     """Exact barycenter (moments divided by volume)."""
     if poly.dim == 0:
-        if not enumerate_vertices(poly):
+        if not _vertex_table(poly):
             raise DegenerateGeometryError("empty polytope has no centroid")
         return ()
     vol = volume(poly)

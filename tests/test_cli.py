@@ -87,6 +87,24 @@ class TestIndexCommand:
         assert doc["values"] == ["11/18", "7/36", "7/36"]
         assert doc["decimals"] == ["0.611111", "0.194444", "0.194444"]
 
+    def test_axioms_json_document(self, capsys):
+        # the axiom keys keep the order of AxiomReport's fields
+        code, out, err = run(
+            capsys,
+            "index", "--kind", "avg-rep", "--axioms", "--json",
+            "--game", "[3;2,1,1]",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "game": "[3; 2, 1, 1]",\n  "kind": "avg-rep",\n'
+            '  "values": [\n    "7/12",\n    "5/24",\n    "5/24"\n  ],\n'
+            '  "decimals": [\n    "0.583333",\n    "0.208333",\n'
+            '    "0.208333"\n  ],\n  "avg_quota": "2/3",\n  "axioms": {\n'
+            '    "symmetric": true,\n    "positive": true,\n'
+            '    "efficient": true,\n    "dummy_property": true,\n'
+            '    "representation_compatible": true\n  }\n}\n'
+        )
+
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ("index", "--kind", "avg-rep", "--json", "--game", "[3;2,1,1]")
         first = run(capsys, *argv)
@@ -623,7 +641,7 @@ def numpy_loaded_after(*calls):
     return proc.stdout == "True\n"
 
 
-def test_exact_calls_run_without_numpy():
+def exact_calls():
     game = ["--game", "[3;2,1,1]"]
     calls = [
         ["index", "--kind", kind, *flags, *game]
@@ -636,7 +654,36 @@ def test_exact_calls_run_without_numpy():
         for kind in ("weight", "rep")
         for flags in ([], ["--vertices", "--volume", "--moments"], ["--json"])
     ]
-    assert not numpy_loaded_after(*calls)
+    return calls
+
+
+def test_exact_calls_run_without_numpy():
+    assert not numpy_loaded_after(*exact_calls())
+
+
+# Like NUMPY_PROBE, but prints the modules that importing powerpoly and
+# running the calls added to those loaded before (site may preload some).
+MODULES_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import powerpoly, powerpoly.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert powerpoly.cli.main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_exact_calls_load_no_unused_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, json.dumps(exact_calls())],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "powerpoly.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "numpy"})
 
 
 def readme_examples():

@@ -217,6 +217,13 @@ class TestIndexVector:
         with pytest.raises(ValueError):
             IndexVector(frac_vec("3/2", "-1/2"), "ad-hoc")
 
+    @pytest.mark.parametrize("values", [("1/2", "1/4"), ("3/2", "-1/2")])
+    def test_replace_checks_the_values(self, values):
+        index = IndexVector(frac_vec("1/2", "1/2"), "ad-hoc")
+        assert index._replace(kind="other") == (index.values, "other", None)
+        with pytest.raises(ValueError):
+            index._replace(values=frac_vec(*values))
+
 
 class TestJson:
     def test_weight_index_document(self):
