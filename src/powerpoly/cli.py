@@ -4,7 +4,10 @@ Subcommands: `index` (power indices), `polytope` (geometry inspection),
 `intreps` (integer grids), `table` (the built-in n <= 4 catalogue).
 Exit codes: 0 on success, 2 for malformed input, 3 for requests beyond
 the supported scale: the library refuses those with ScaleExceededError
-before starting the work, and this module only maps that to exit 3.
+before starting the work, and this module maps that to exit 3. For its
+stderr note past the guaranteed exact scale, an exact `index` or
+`polytope` request calls check_exact_scale itself, which refuses past
+the voter cap as the exact stages would.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ quota. Coalitions are plain int bitmasks (bit i-1 set means voter i is a
 member), and the full coalition structure is derived exhaustively and
 exactly at construction time. Spec entries are read by
 `exact_math.parse_rational`, the package's one parser for rational
-literals.
+literals. The grid scans and the Monte Carlo estimator read the minimal
+winning and maximal losing coalitions as one pair of membership
+matrices, _structure_matrices, the only code here that imports numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact_math import parse_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Coalition",
@@ -266,6 +271,23 @@ def desirability_classes(game: WeightedGame) -> tuple[tuple[int, ...], ...]:
             classes.append([])
         classes[-1].append(j + 1)
     return tuple(map(tuple, classes))
+
+
+def _structure_matrices(game: WeightedGame) -> tuple[np.ndarray, np.ndarray]:
+    """Membership matrices of the minimal winning and maximal losing coalitions.
+
+    Row j, column i of each is bit i of its j-th coalition in ascending
+    mask order, the order the polytope builders write their rows in, as
+    int8. The grid scans and the Monte Carlo estimator weigh coalitions
+    with them; numpy is imported here, on the first call.
+    """
+    import numpy as np
+
+    def mat(masks):
+        masks = np.array(sorted(masks), dtype=np.int64)
+        return (masks[:, None] >> np.arange(game.n) & 1).astype(np.int8)
+
+    return mat(game.minimal_winning), mat(game.maximal_losing)
 
 
 def _mask_sum(values: Sequence[Fraction], mask: int) -> Fraction:

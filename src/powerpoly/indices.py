@@ -120,7 +120,6 @@ def shapley_shubik(game: WeightedGame) -> IndexVector:
 
 def average_weight_index(game: WeightedGame) -> IndexVector:
     """Barycenter of the polytope of compatible normalized weights."""
-    check_exact_scale("weight", game.n)
     c = centroid(build_weight_polytope(game))
     last = Fraction(1) - sum(c, Fraction(0))
     return IndexVector(tuple(c) + (last,), KIND_AVG_WEIGHT)
@@ -132,7 +131,6 @@ def average_representation_index(game: WeightedGame) -> IndexVector:
     The quota coordinate of the same barycenter is reported as
     `avg_quota`; together they form a representation of the game.
     """
-    check_exact_scale("rep", game.n)
     c = centroid(build_representation_polytope(game))
     weights = c[1:]
     last = Fraction(1) - sum(weights, Fraction(0))

@@ -40,7 +40,13 @@ from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .exact_math import decimal_str
-from .game_core import GameFormatError, ScaleExceededError, WeightedGame, l1_distance
+from .game_core import (
+    GameFormatError,
+    ScaleExceededError,
+    WeightedGame,
+    _structure_matrices,
+    l1_distance,
+)
 from .indices import (
     KIND_AVG_REP,
     IndexVector,
@@ -92,17 +98,6 @@ class ConvergenceRow(NamedTuple):
 class ConvergenceTable(NamedTuple):
     rows: tuple[ConvergenceRow, ...]
     limit: IndexVector
-
-
-def _structure_matrices(game: WeightedGame) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    def mat(masks):
-        # row j, column i: bit i of the j-th mask in ascending order
-        masks = np.array(sorted(masks), dtype=np.int64)
-        return (masks[:, None] >> np.arange(game.n) & 1).astype(np.int8)
-
-    return mat(game.minimal_winning), mat(game.maximal_losing)
 
 
 def _price(game: WeightedGame) -> int:

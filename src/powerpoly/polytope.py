@@ -10,7 +10,7 @@ volumes and centroids are unchanged while vertex enumeration gets a
 compact polytope to work on. Past MAX_POLYTOPE_ROWS rows the builders
 raise ScaleExceededError before writing one; otherwise they write each
 row in integers and keep those rows, and the game, with the polytope;
-every later stage starts from primitive integer rows, derived once per
+every exact stage starts from primitive integer rows, derived once per
 polytope from the Fractions only when the polytope was not built from a
 game. A game polytope writes its Constraint objects, labels included,
 only when its `constraints` are first read (polytope --json, library
@@ -40,11 +40,13 @@ estimator samples polytopes built from a game: it draws the weights
 from the chamber where they fall in the order of the game's voter
 classes (game_core.desirability_classes) and the quota from the interval
 that chamber leaves it, then averages each accepted point over each
-class of equally desirable voters. Rows that hold on the whole proposal
-region are not tested. Points are drawn and tested in column chunks,
-held coordinate-major, and summed as they are accepted, so the
-estimator holds one chunk times ROW_BLOCK slacks at once and never a
-batch of accepted points.
+class of equally desirable voters. It writes its own rows from the
+game's minimal winning and maximal losing coalitions, over all n
+weights, and never reads the builders' rows. Rows that hold on the
+whole proposal region are not tested. Points are drawn and tested in
+column chunks, held coordinate-major, and summed as they are accepted,
+so the estimator holds one chunk times ROW_BLOCK slacks at once and
+never a batch of accepted points.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .exact_math import bareiss
 from .game_core import (
     ScaleExceededError,
     WeightedGame,
+    _structure_matrices,
     coalition_str,
     desirability_classes,
 )
@@ -92,13 +95,14 @@ __all__ = [
 
 
 # Largest polytope, in constraint rows, the builders build. The weight
-# polytope of [33;11,10,...,1], 17,301 rows, builds in 0.10-0.14 s (6-8 us
-# per row) and holds 8.4 MB (about 0.5 KB per row); the Monte Carlo set-up
-# adds 0.03 s and 4.9 MB, and a 100,000-sample estimate peaks at 50 MB RSS
-# for the whole process, numpy included (Python 3.11 on 2 vCPUs). So this
-# keeps either well within a second. The weight polytope has
-# |MWC| * |MLC| rows, which passes it from 10 voters on (52,930 rows for
-# [5;1x10], about 6.6M for [70;1..16]).
+# polytope of [33;11,10,...,1], 17,301 rows, builds in 14-27 ms (1-1.5 us
+# per row) and holds 3.1 MB of integer rows; its Constraint objects, written
+# on first access, take 0.07-0.08 s more and 4.7 MB. The Monte Carlo set-up
+# adds 4 ms and 1.5 MB (3.6 MB at its peak), and a 100,000-sample estimate
+# peaks at 45 MB RSS for the whole process, numpy included (Python 3.11,
+# numpy 2.4 on 2 vCPUs). So this keeps either well within a second. The
+# weight polytope has |MWC| * |MLC| rows, which passes it from 10 voters
+# on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
 MAX_POLYTOPE_ROWS = 20_000
 
 # Most samples one Monte Carlo estimate draws: the largest power of two the
@@ -113,9 +117,9 @@ MAX_MC_SAMPLES = 1 << 24
 # guaranteed count and within 10 s up to the cap, on either polytope:
 # 0.05 s at 7 voters, 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at
 # 9 ([22;9,8,7,6,5,4,3,2,1]). check_exact_scale is the one place that
-# applies them: the indices call it before building a polytope, and
-# enumerate_vertices before its work on a game polytope; the CLI notes
-# on stderr when a request is between the two.
+# applies them: the vertex table calls it before any work on a game
+# polytope, so every exact stage refuses there, the indices included; the
+# CLI calls it too, to note on stderr when a request is between the two.
 EXACT_GUARANTEED_VOTERS = 7
 EXACT_MAX_VOTERS = 8
 
@@ -225,9 +229,9 @@ def _game_polytope(
     it holds a +-1: the bound rows and the representation rows have a
     +-1 entry, and a weight row has b = +-1 unless its two coalitions
     agree on the last voter, when they differ on another one, whose
-    entry is +-1. So the rows are the estimator's and the vertex
-    enumerator's integer rows as they stand. The polytope also keeps the
-    game, which the exact scale check and the estimator read.
+    entry is +-1. So the rows are the vertex enumerator's integer rows as
+    they stand. The polytope also keeps the game, which the exact scale
+    check reads and from which the estimator writes its own rows.
     """
     poly = HPolytope(dim, ())
     poly._constraints = None
@@ -355,13 +359,6 @@ def _scaled_rows(
     return rows
 
 
-def _rows(poly: HPolytope) -> list[tuple[tuple[int, ...], int]]:
-    """The polytope's _scaled_rows, memoized; the builders store theirs."""
-    if "rows" not in poly._cache:
-        poly._cache["rows"] = _scaled_rows(poly.constraints)
-    return poly._cache["rows"]
-
-
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*v)
     return tuple(c // g for c in v) if g > 1 else tuple(v)
@@ -477,8 +474,11 @@ def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
     game = poly._cache.get("game")
     if game is not None:
         check_exact_scale("rep" if d == game.n else "weight", game.n)
+        rows = poly._cache["rows"]  # the builder's, primitive as written
+    else:
+        rows = _scaled_rows(poly.constraints)
     ids: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for i, row in enumerate(_rows(poly)):
+    for i, row in enumerate(rows):
         ids.setdefault(row, []).append(i)
     rays, lined = _cone_rays(list(ids), d)
     found = [(ray, zero) for ray, zero in rays if ray[d]]  # t >= 0 on every ray
@@ -701,6 +701,9 @@ def _chamber(rng: np.random.Generator, out: np.ndarray) -> None:
     import numpy as np
 
     n = len(out)
+    if n == 1:  # C is the point w_1 = 1: nothing to draw
+        out[0] = 1.0
+        return
     exps = rng.standard_exponential((out.shape[1], n))
     inv = exps[:, 0].copy()
     for j in range(1, n):
@@ -717,19 +720,17 @@ class _Proposal(NamedTuple):
     """What estimate_centroid_mc draws and tests, set up once per polytope.
 
     A point is held as `size` rows: the quota, if the polytope has one,
-    then for n >= 2 voters every voter's weight in rank order, the voter
-    the chart drops included. Its output columns are sums of point rows;
-    with `rest` set, one more column is 1 minus columns[rest:], the
-    weight the other classes leave to the last one.
+    then every voter's weight in rank order. Its output columns are sums
+    of point rows; with `rest` set, one more column is 1 minus
+    columns[rest:], the weight the other classes leave to the last one.
     """
 
     size: int
     first: int  # quota rows, drawn uniformly from [lo, hi]; the rest from C
     lo: np.ndarray
     hi: np.ndarray
-    live: np.ndarray  # the constraint rows tested, the most cutting first
-    a: np.ndarray  # their float rows, over a point's rows
-    b: np.ndarray
+    live: np.ndarray  # the rows tested, the most cutting first
+    a: np.ndarray  # their float rows a, over a point's rows x: x is in when a.x <= 0
     columns: list[tuple[int, int]]  # point rows [start, stop) summed per column
     rest: int | None
     coords: list[tuple[int, int]]  # (column, voters in it) per coordinate
@@ -748,26 +749,52 @@ def _proposal(poly: HPolytope, game: WeightedGame) -> _Proposal:
     order, and each accepted point is averaged over every class of
     equally desirable voters: a column sums a class's weights, and the
     last class takes what the others leave of the unit sum. A lone
-    voter's weight is 1, so its polytope draws no weights at all. The
-    quota is drawn from the values that some weights in C leave it.
+    voter's weight is 1, so its polytope draws no weights at all.
+
+    The rows are written from the game's coalition membership matrices,
+    homogeneous over a point's rows: w(T) - w(S) <= 0 for each (minimal
+    winning S, maximal losing T) pair on the weight polytope, q - w(S) <= 0
+    and then w(T) - q <= 0 on the representation polytope. They come in
+    the builders' coalition order, so row k is the builder's row k + n
+    (weight) or k + n + 2 (representation); the builders' bound rows hold
+    on all of C and are not written. No point of the polytope has its
+    quota below any w(T) or above any w(S), so the quota is drawn from
+    [lo, hi]: lo is the largest, over T, of the least T weighs at a
+    vertex of C, and hi the smallest, over S, of the most S weighs at one.
 
     A row is not tested when it holds at every vertex of the proposal
     region (a vertex of C with the quota end that is worst for the row),
-    which one product of the integer row matrix with the vertices
-    decides exactly. The other rows are tested most violated first, at
-    the mean of those vertices, so that most points leave after few
-    rows; the order changes neither which points are accepted nor their
-    order.
+    which coalition weights at the vertices of C, in integers, decide
+    exactly. The other rows are tested most violated first, at the mean
+    of those vertices, so that most points leave after few rows; the
+    order changes neither which points are accepted nor their order.
     """
     import numpy as np
 
-    n, d = game.n, poly.dim
-    rows = _rows(poly)
+    n = game.n
     classes = desirability_classes(game)
-    first = d - (n - 1)  # quota coordinates ahead of the weights
-    rank = {v: r for r, v in enumerate(chain.from_iterable(classes))}
-    size = first + n if n > 1 else first
-    layout = list(range(first)) + [first + rank[v] for v in range(1, n)]
+    first = poly.dim - (n - 1)  # quota coordinates ahead of the weights
+    ranked = [v - 1 for v in chain.from_iterable(classes)]
+    win, lose = (m[:, ranked] for m in _structure_matrices(game))
+    # column j - 1 is C's vertex v_j, 1/j on the j most desirable voters; over den
+    den = lcm(*range(1, n + 1))
+    vertices = np.array(
+        [[den // j * (r < j) for j in range(1, n + 1)] for r in range(n)]
+    )
+    s_at, t_at = win @ vertices, lose @ vertices  # w(S) and w(T) at each vertex
+    lo = hi = np.empty(0)
+    if first:
+        q_lo, q_hi = t_at.min(axis=1).max(), s_at.max(axis=1).min()
+        lo, hi = np.array([q_lo / den]), np.array([q_hi / den])
+        sign = np.repeat([1, -1], [len(win), len(lose)])
+        rows = np.column_stack([sign, np.concatenate([-win, lose])])
+        at = np.concatenate([q_hi - s_at, t_at - q_lo])  # at the worst quota end
+    else:
+        rows = (lose[None] - win[:, None]).reshape(-1, n)
+        at = (t_at[None] - s_at[:, None]).reshape(-1, n)
+    excess = at.sum(axis=1)  # by how much a row fails, summed over the vertices
+    live = np.flatnonzero(~(at <= 0).all(axis=1))
+    live = live[np.argsort(-excess[live], kind="stable")]
     ends = list(accumulate(map(len, classes), initial=first))
     columns = [(i, i + 1) for i in range(first)]
     columns += list(zip(ends[:-2], ends[1:-1]))
@@ -775,50 +802,13 @@ def _proposal(poly: HPolytope, game: WeightedGame) -> _Proposal:
     coords = [(i, 1) for i in range(first)] + [
         (first + of_voter[v], len(classes[of_voter[v]])) for v in range(1, n)
     ]
-    # C's vertex v_j puts 1/j on the j most desirable voters; over den
-    den = lcm(*range(1, n + 1))
-    vertices = [
-        [0] * first + [den // j if rank[v] < j else 0 for v in range(1, n)]
-        for j in range(1, n + 1)
-    ]
-    # The integer rows in floats. Their entries are -2..2, and every
-    # vertex coordinate and quota end is an integer of at most
-    # den <= lcm(1..16) = 720,720, so each value below is exact. A
-    # proposed coordinate lies in [0, 1], so a proposal's float slack is
-    # within 4 d + 16 units of 2^-53 of the row's size, sum |a_i| + |b|
-    # <= 2 d + 2, of the exact slack: under 3e-13 for d <= 16, inside
-    # the 1e-12 tolerance. So a row that holds on the whole region can
-    # never reject a proposal.
-    m = len(rows)
-    a_int = np.fromiter(chain.from_iterable(a for a, _ in rows), float, m * d)
-    a_int = a_int.reshape(m, d)
-    b_int = np.fromiter((b for _, b in rows), float, m)
-    # a.x - b at each vertex of C, the quota part left out
-    at = a_int @ np.array(vertices, dtype=float).T - (b_int * den)[:, None]
-    lo_int, hi_int = [], []
-    if first:
-        # With its weights in C, a representation row q + a.w <= b (or
-        # -q + a.w <= b; the builder writes q with a unit coefficient)
-        # bounds q by b - a.w at the vertex of C where a.w is least.
-        slack = -at.min(axis=1)
-        q = a_int[:, 0]
-        lo_int = [-int(slack[q < 0].min())]
-        hi_int = [int(slack[q > 0].min())]
-        part = a_int[:, :first]
-        at += np.maximum(part * lo_int, part * hi_int).sum(axis=1)[:, None]
-    excess = at.sum(axis=1)  # by how much a row fails, summed over the vertices
-    live = np.flatnonzero(~(at <= 0).all(axis=1))
-    live = live[np.argsort(-excess[live], kind="stable")]
-    a = np.zeros((len(live), size))
-    a[:, layout] = np.take(a_int, live, axis=0)
     return _Proposal(
-        size,
+        first + n,
         first,
-        np.array([l / den for l in lo_int]),
-        np.array([h / den for h in hi_int]),
+        lo,
+        hi,
         live,
-        a,
-        np.take(b_int, live),
+        rows[live].astype(float),
         columns,
         first if n > 1 else None,
         coords,
@@ -912,9 +902,9 @@ def estimate_centroid_mc(
     # the rows that cut most come first, so blocks start small and double
     row_blocks = []
     r = 0
-    while r < len(p.b):
+    while r < len(p.a):
         end = r + min(4 << len(row_blocks), ROW_BLOCK)
-        row_blocks.append((p.a[r:end], p.b[r:end, None]))
+        row_blocks.append(p.a[r:end])
         r = end
     rng = np.random.default_rng(seed)
     kept = 0
@@ -931,13 +921,10 @@ def estimate_centroid_mc(
             pts = np.empty((p.size, stop - start))
             if p.first:
                 pts[: p.first] = uniform[:, start:stop]
-            if p.size > p.first:  # a lone voter has no weights to draw
-                _chamber(rng, pts[p.first :])
+            _chamber(rng, pts[p.first :])
             inside = pts
-            for a_blk, b_blk in row_blocks:
-                slack = a_blk @ inside
-                np.subtract(b_blk, slack, out=slack)
-                inside = inside[:, np.logical_and.reduce(slack >= -1e-12, axis=0)]
+            for a_blk in row_blocks:
+                inside = inside[:, (a_blk @ inside <= 1e-12).all(axis=0)]
                 if not inside.shape[1]:
                     break
             if inside.shape[1]:

@@ -350,6 +350,22 @@ def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
     assert_same_estimate(builder(game), (1 << 17) + 999, 11, game)
 
 
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_estimates_read_the_game_not_the_builder_rows(monkeypatch, builder):
+    # the estimator writes its rows from the game's coalitions, so a game
+    # polytope estimates alike without the integer rows its builder wrote
+    def scaled_rows(*args):
+        raise AssertionError("the builder's rows were read")
+
+    monkeypatch.setattr(polytope, "_scaled_rows", scaled_rows)
+    for spec in MC_GAMES[:6]:
+        game = parse_game(spec)
+        poly = builder(game)
+        poly.constraints  # the reference reads them; written while the rows are kept
+        del poly._cache["rows"]
+        assert_same_estimate(poly, 20_000, 3, game)
+
+
 def assert_refused_or_point(monkeypatch, poly, samples, seed):
     """A point has the empty estimate; any other polytope without a game
     is refused before any set-up or draw."""
@@ -499,7 +515,9 @@ def test_skipped_rows_are_never_evaluated(monkeypatch, builder):
     samples, rows = 20_000, len(poly.constraints)
     outcome(estimate_centroid_mc, poly, 1, 4)  # sets up the proposal
     setup = poly._cache["mc"]
-    skipped = sorted(set(range(rows)) - set(setup.live))
+    # estimator row k is builder row k + offset, past the bound rows
+    offset = game.n if builder is build_weight_polytope else game.n + 2
+    skipped = sorted(set(range(rows)) - {k + offset for k in setup.live})
     # what the library skips holds at every corner of the proposal region
     assert skipped == oracle_dead_rows(poly, game)
     assert 0 < len(skipped) < rows
@@ -508,7 +526,7 @@ def test_skipped_rows_are_never_evaluated(monkeypatch, builder):
     spy.origin = spy.ctypes.data
     poly._cache["mc"] = setup._replace(a=spy)
     got = estimate_centroid_mc(poly, samples, 4)
-    evaluated = {setup.live[r] for r in spy.counts}
+    evaluated = {setup.live[r] + offset for r in spy.counts}
     assert evaluated and not evaluated & set(skipped)
     # the reference tests every row on every point and agrees
     assert sum(spy.counts.values()) < (rows - len(skipped)) * samples

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from powerpoly import polytope
 from powerpoly import (
     AxiomReport,
     IndexVector,
@@ -117,6 +118,30 @@ class TestAverageRepresentationIndex:
     def test_scale_cap(self):
         with pytest.raises(ScaleExceededError):
             average_representation_index(parse_game("[4;1,1,1,1,1,1,1,1,1]"))
+
+
+@pytest.mark.parametrize(
+    "index", [average_weight_index, average_representation_index]
+)
+@pytest.mark.parametrize(
+    "spec", ["[4;1,1,1,1,1,1,1,1,1]", "[20;9,8,7,6,5,4,3,2,1]"]
+)
+def test_indices_refuse_past_the_voter_cap_before_vertex_enumeration(
+    monkeypatch, index, spec
+):
+    # the polytope is built; its exact stages refuse before double description
+    def cone_rays(*args):
+        raise AssertionError("vertex enumeration started")
+
+    monkeypatch.setattr(polytope, "_cone_rays", cone_rays)
+    with pytest.raises(ScaleExceededError, match="at most 8 voters"):
+        index(parse_game(spec))
+
+
+def test_weight_index_past_the_row_cap_names_the_rows():
+    # the weight polytope of 10 tied voters is refused by its builder
+    with pytest.raises(ScaleExceededError, match="has 52930 constraint rows"):
+        average_weight_index(parse_game("[5;1,1,1,1,1,1,1,1,1,1]"))
 
 
 class TestDummyRevealing:
