@@ -8,15 +8,16 @@ w_n = 1 - (w_1 + ... + w_{n-1}), and both close the strict separation
 inequalities: the closure only adds boundary slices of measure zero, so
 volumes and centroids are unchanged while vertex enumeration gets a
 compact polytope to work on. Past MAX_POLYTOPE_ROWS rows the builders
-raise ScaleExceededError before writing one; otherwise they write each
-row in integers and keep those rows, and the game, with the polytope;
-every exact stage starts from primitive integer rows, derived once per
-polytope from the Fractions only when the polytope was not built from a
-game. A game polytope writes its Constraint objects, labels included,
-only when its `constraints` are first read (polytope --json, library
-callers); no exact stage and no estimate reads them. The value types
-here, like the package's others, are NamedTuples, which a process
-defines far faster than dataclasses.
+raise ScaleExceededError; otherwise the polytope they return keeps only
+the game and its kind. Every exact stage starts from primitive integer
+rows, written once per polytope on first read: from the game by one
+writer for both polytopes (_game_rows), or from the Fractions of a
+polytope built by hand. A game polytope writes its Constraint objects,
+labels included, only when its `constraints` are first read (polytope
+--json, library callers); no exact stage and no estimate reads them.
+So a build, an estimate and an exact stage refused at the voter cap
+write no row. The value types here, like the package's others, are
+NamedTuples, which a process defines far faster than dataclasses.
 
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
@@ -42,11 +43,11 @@ classes (game_core.desirability_classes) and the quota from the interval
 that chamber leaves it, then averages each accepted point over each
 class of equally desirable voters. It writes its own rows from the
 game's minimal winning and maximal losing coalitions, over all n
-weights, and never reads the builders' rows. Rows that hold on the
-whole proposal region are not tested. Points are drawn and tested in
-column chunks, held coordinate-major, and summed as they are accepted,
-so the estimator holds one chunk times ROW_BLOCK slacks at once and
-never a batch of accepted points.
+weights, and never reads the polytope's integer rows. Rows that hold on
+the whole proposal region are not tested. Points are drawn and tested
+in column chunks, held coordinate-major, and summed as they are
+accepted, so the estimator holds one chunk times ROW_BLOCK slacks at
+once and never a batch of accepted points.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial, gcd, lcm, prod
-from operator import mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from numbers import Rational
+from operator import index, mul
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact_math import bareiss
 from .game_core import (
@@ -94,15 +96,17 @@ __all__ = [
 ]
 
 
-# Largest polytope, in constraint rows, the builders build. The weight
-# polytope of [33;11,10,...,1], 17,301 rows, builds in 14-27 ms (1-1.5 us
-# per row) and holds 3.1 MB of integer rows; its Constraint objects, written
-# on first access, take 0.07-0.08 s more and 4.7 MB. The Monte Carlo set-up
-# adds 4 ms and 1.5 MB (3.6 MB at its peak), and a 100,000-sample estimate
-# peaks at 45 MB RSS for the whole process, numpy included (Python 3.11,
-# numpy 2.4 on 2 vCPUs). So this keeps either well within a second. The
-# weight polytope has |MWC| * |MLC| rows, which passes it from 10 voters
-# on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
+# Largest polytope, in constraint rows, the builders build. A build only
+# counts the rows, so this bounds what the polytope writes later: its
+# constraints and the Monte Carlo set-up (the exact stages stop at the voter
+# cap first). The weight polytope of [33;11,10,...,1], 17,301 rows, writes
+# its integer rows in 33-68 ms (3.3 MB) and their Constraint objects in
+# 51-88 ms more (4.8 MB) on the first `constraints` read. Its Monte Carlo
+# set-up takes 5 ms and 1.5 MB (3.6 MB at its peak), and a 100,000-sample
+# estimate peaks at 39 MB RSS for the whole process, numpy included (Python
+# 3.11, numpy 2.4 on 2 vCPUs). So this keeps either well within a second.
+# The weight polytope has |MWC| * |MLC| rows, which passes it from 10
+# voters on (52,930 rows for [5;1x10], about 6.6M for [70;1..16]).
 MAX_POLYTOPE_ROWS = 20_000
 
 # Most samples one Monte Carlo estimate draws: the largest power of two the
@@ -180,8 +184,10 @@ class HPolytope:
     Instances are immutable once built; derived data (integer rows, the
     vertex table, cells, volume, moments) is computed on demand and
     memoized on the instance, and so are the constraints of a polytope
-    built from a game. Only vertex enumeration takes an unbounded one;
-    the exact stages after it raise ValueError.
+    built from a game. Every entry must be rational (an int or a
+    Fraction, say); anything else, a float included, raises ValueError.
+    Only vertex enumeration takes an unbounded polytope; the exact
+    stages after it raise ValueError.
     """
 
     __slots__ = ("dim", "_constraints", "_cache")
@@ -193,6 +199,8 @@ class HPolytope:
         for c in cons:
             if len(c.a) != dim:
                 raise ValueError("constraint arity does not match dimension")
+            if not all(isinstance(x, Rational) for x in (*c.a, c.b)):
+                raise ValueError(f"constraint entries must be rational: {c!r}")
         self.dim = dim
         self._constraints: tuple[Constraint, ...] | None = cons
         self._cache: dict = {}
@@ -201,42 +209,19 @@ class HPolytope:
     def constraints(self) -> tuple[Constraint, ...]:
         """The halfspaces; a game polytope writes its own on first access."""
         if self._constraints is None:
-            rows = self._cache["rows"]
-            labels = self._cache["labels"](self._cache["game"])
+            labels = _game_labels(self._cache["game"], self._cache["kind"])
             self._constraints = tuple(
                 Constraint(tuple(map(_SMALL.__getitem__, a)), _SMALL[b], label)
-                for (a, b), label in zip(rows, labels)
+                for (a, b), label in zip(_rows(self), labels)
             )
         return self._constraints
 
     def __repr__(self) -> str:
-        cons = self._constraints
-        count = len(self._cache["rows"] if cons is None else cons)
+        if self._constraints is None:
+            count = constraint_count(self._cache["game"], self._cache["kind"] == "rep")
+        else:
+            count = len(self._constraints)
         return f"HPolytope(dim={self.dim}, constraints={count})"
-
-
-def _game_polytope(
-    game: WeightedGame,
-    dim: int,
-    rows: list[tuple[tuple[int, ...], int]],
-    labels: Callable[[WeightedGame], Iterator[str]],
-) -> HPolytope:
-    """Polytope of a builder's integer rows a.x <= b, which it keeps.
-
-    Every entry of a game row is a difference of at most four membership
-    bits, so the constraints, written from the rows and `labels(game)`
-    on first access, share a few Fractions. Every row is also primitive, as
-    it holds a +-1: the bound rows and the representation rows have a
-    +-1 entry, and a weight row has b = +-1 unless its two coalitions
-    agree on the last voter, when they differ on another one, whose
-    entry is +-1. So the rows are the vertex enumerator's integer rows as
-    they stand. The polytope also keeps the game, which the exact scale
-    check reads and from which the estimator writes its own rows.
-    """
-    poly = HPolytope(dim, ())
-    poly._constraints = None
-    poly._cache.update(rows=rows, game=game, labels=labels)
-    return poly
 
 
 def build_weight_polytope(game: WeightedGame) -> HPolytope:
@@ -247,33 +232,7 @@ def build_weight_polytope(game: WeightedGame) -> HPolytope:
     maximal losing) pair demands the winner to outweigh the loser, with
     the strict inequality closed.
     """
-    _check_rows(game, "weight")
-    n = game.n
-    d = n - 1
-    rows = [(tuple(-1 if j == i else 0 for j in range(d)), 0) for i in range(d)]
-    rows.append(((1,) * d, 1))
-
-    def chart(masks):
-        # per coalition C, once: x_i - x_n over its members, and x_n
-        return [
-            (tuple((c >> i & 1) - (c >> d & 1) for i in range(d)), c >> d & 1)
-            for c in sorted(masks)
-        ]
-
-    losers = chart(game.maximal_losing)
-    for s_row, s_last in chart(game.minimal_winning):
-        for t_row, t_last in losers:
-            rows.append((tuple(map(sub, t_row, s_row)), s_last - t_last))
-    return _game_polytope(game, d, rows, _weight_labels)
-
-
-def _weight_labels(game: WeightedGame) -> Iterator[str]:
-    """The weight polytope's constraint labels, in row order."""
-    yield from (f"w{i} >= 0" for i in range(1, game.n + 1))
-    loser_names = [coalition_str(t) for t in sorted(game.maximal_losing)]
-    for s in sorted(game.minimal_winning):
-        s_name = coalition_str(s)
-        yield from (f"w({s_name}) >= w({t_name})" for t_name in loser_names)
+    return _game_polytope(game, "weight")
 
 
 def build_representation_polytope(game: WeightedGame) -> HPolytope:
@@ -283,30 +242,75 @@ def build_representation_polytope(game: WeightedGame) -> HPolytope:
     reach q, maximal losing ones must not exceed it (strictness closed),
     and 0 <= q <= 1 bounds the quota.
     """
-    _check_rows(game, "rep")
-    n = game.n
-    rows = [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
-    rows.insert(1, ((1,) + (0,) * (n - 1), 1))
-    rows.append(((0,) + (1,) * (n - 1), 1))
-    for s in sorted(game.minimal_winning):
-        s_last = s >> (n - 1) & 1
-        row = tuple(s_last - (s >> i & 1) for i in range(n - 1))
-        rows.append(((1,) + row, s_last))
-    for t in sorted(game.maximal_losing):
-        t_last = t >> (n - 1) & 1
-        row = tuple((t >> i & 1) - t_last for i in range(n - 1))
-        rows.append(((-1,) + row, -t_last))
-    return _game_polytope(game, n, rows, _representation_labels)
+    return _game_polytope(game, "rep")
 
 
-def _representation_labels(game: WeightedGame) -> Iterator[str]:
-    """The representation polytope's constraint labels, in row order."""
-    yield from ("q >= 0", "q <= 1")
+def _game_polytope(game: WeightedGame, kind: str) -> HPolytope:
+    """The `kind` ("weight" or "rep") polytope of the game.
+
+    Refuses it past MAX_POLYTOPE_ROWS. The polytope keeps only the game
+    and its kind: _rows writes its integer rows, and `constraints` its
+    Constraint objects, on first read.
+    """
+    rows = constraint_count(game, representation=kind == "rep")
+    if rows > MAX_POLYTOPE_ROWS:
+        raise ScaleExceededError(
+            f"the {kind} polytope of this game has {rows} constraint rows, "
+            f"more than the supported {MAX_POLYTOPE_ROWS}"
+        )
+    poly = HPolytope(game.n - (kind == "weight"), ())
+    poly._constraints = None
+    poly._cache.update(game=game, kind=kind)
+    return poly
+
+
+def _game_rows(game: WeightedGame, kind: str) -> list[tuple[tuple[int, ...], int]]:
+    """The `kind` polytope's integer rows a.x <= b, in constraint order.
+
+    Each row is first written homogeneous over (q, w_1 .. w_n), as
+    (c, plus, minus) for c q + w(plus) - w(minus) <= 0, with w(C) the
+    weight of coalition C: the bounds -q <= 0, q - w(N) <= 0 (so q <= 1)
+    and -w_i <= 0, then the coalition rows. It is then projected to the
+    chart through w_n = 1 - (w_1 + ... + w_{n-1}), where
+    w(C) = sum_{i<n} (c_i - c_n) w_i + c_n for the membership bits c_i.
+
+    So every entry is a difference of at most four membership bits, and
+    every row is primitive, as it holds a +-1: the bound rows and the
+    representation rows have a +-1 entry, and a weight row has b = +-1
+    unless its two coalitions agree on the last voter, when they differ
+    on another one, whose entry is +-1. So the rows are the vertex
+    enumerator's integer rows as they stand.
+    """
+    n, d = game.n, game.n - 1
+    rep = kind == "rep"
+    wins, losers = sorted(game.minimal_winning), sorted(game.maximal_losing)
+    homogeneous = [(-1, 0, 0), (1, 0, (1 << n) - 1)] if rep else []
+    homogeneous += [(0, 0, 1 << i) for i in range(n)]
+    if rep:
+        homogeneous += [(1, 0, s) for s in wins] + [(-1, t, 0) for t in losers]
+    else:
+        homogeneous += [(0, t, s) for s in wins for t in losers]
+    rows = []
+    for c, plus, minus in homogeneous:
+        last = (plus >> d & 1) - (minus >> d & 1)
+        a = tuple([(plus >> i & 1) - (minus >> i & 1) - last for i in range(d)])
+        rows.append(((c, *a) if rep else a, -last))
+    return rows
+
+
+def _game_labels(game: WeightedGame, kind: str) -> Iterator[str]:
+    """The `kind` polytope's constraint labels, in the order of its rows."""
+    rep = kind == "rep"
+    if rep:
+        yield from ("q >= 0", "q <= 1")
     yield from (f"w{i} >= 0" for i in range(1, game.n + 1))
-    for s in sorted(game.minimal_winning):
-        yield f"w({coalition_str(s)}) >= q"
-    for t in sorted(game.maximal_losing):
-        yield f"w({coalition_str(t)}) <= q"
+    wins = [f"w({coalition_str(s)})" for s in sorted(game.minimal_winning)]
+    losers = [f"w({coalition_str(t)})" for t in sorted(game.maximal_losing)]
+    if rep:
+        yield from (f"{s} >= q" for s in wins)
+        yield from (f"{t} <= q" for t in losers)
+    else:
+        yield from (f"{s} >= {t}" for s in wins for t in losers)
 
 
 def constraint_count(game: WeightedGame, representation: bool = False) -> int:
@@ -321,16 +325,6 @@ def constraint_count(game: WeightedGame, representation: bool = False) -> int:
     if representation:
         return game.n + 2 + mwc + mlc
     return game.n + mwc * mlc
-
-
-def _check_rows(game: WeightedGame, kind: str) -> None:
-    """Refuse the `kind` ("weight" or "rep") polytope past MAX_POLYTOPE_ROWS."""
-    rows = constraint_count(game, representation=kind == "rep")
-    if rows > MAX_POLYTOPE_ROWS:
-        raise ScaleExceededError(
-            f"the {kind} polytope of this game has {rows} constraint rows, "
-            f"more than the supported {MAX_POLYTOPE_ROWS}"
-        )
 
 
 # -- vertex enumeration -------------------------------------------------
@@ -357,6 +351,23 @@ def _scaled_rows(
             b //= g
         rows.append((a, b))
     return rows
+
+
+def _rows(poly: HPolytope) -> list[tuple[tuple[int, ...], int]]:
+    """The polytope's primitive integer rows (a, b), written on first read.
+
+    A game polytope writes them from its game (_game_rows), a polytope
+    built by hand from its constraints (_scaled_rows). Vertex
+    enumeration and a game polytope's constraints read them.
+    """
+    if "rows" not in poly._cache:
+        game = poly._cache.get("game")
+        poly._cache["rows"] = (
+            _scaled_rows(poly.constraints)
+            if game is None
+            else _game_rows(game, poly._cache["kind"])
+        )
+    return poly._cache["rows"]
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -453,8 +464,8 @@ def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
     """The vertex table's rays, filling the table on the first call.
 
     The vertices are the extreme rays (x, t) with t > 0 of the
-    homogenized cone over the polytope's distinct integer rows, in
-    first-seen order, found by exact double description. Raises
+    homogenized cone over the polytope's distinct integer rows (_rows),
+    in first-seen order, found by exact double description. Raises
     ScaleExceededError, before any of that work, for a game polytope
     past check_exact_scale.
 
@@ -473,12 +484,9 @@ def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
     d = poly.dim
     game = poly._cache.get("game")
     if game is not None:
-        check_exact_scale("rep" if d == game.n else "weight", game.n)
-        rows = poly._cache["rows"]  # the builder's, primitive as written
-    else:
-        rows = _scaled_rows(poly.constraints)
+        check_exact_scale(poly._cache["kind"], game.n)
     ids: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_rows(poly)):
         ids.setdefault(row, []).append(i)
     rays, lined = _cone_rays(list(ids), d)
     found = [(ray, zero) for ray, zero in rays if ray[d]]  # t >= 0 on every ray
@@ -755,8 +763,8 @@ def _proposal(poly: HPolytope, game: WeightedGame) -> _Proposal:
     homogeneous over a point's rows: w(T) - w(S) <= 0 for each (minimal
     winning S, maximal losing T) pair on the weight polytope, q - w(S) <= 0
     and then w(T) - q <= 0 on the representation polytope. They come in
-    the builders' coalition order, so row k is the builder's row k + n
-    (weight) or k + n + 2 (representation); the builders' bound rows hold
+    the coalition order of _game_rows, so row k is the polytope's integer
+    row k + n (weight) or k + n + 2 (representation); its bound rows hold
     on all of C and are not written. No point of the polytope has its
     quota below any w(T) or above any w(S), so the quota is drawn from
     [lo, hi]: lo is the largest, over T, of the least T weighs at a
@@ -872,13 +880,18 @@ def estimate_centroid_mc(
     estimates. Deterministic for a fixed seed.
 
     Raises ScaleExceededError past MAX_MC_SAMPLES samples, and
-    ValueError for a polytope not built from a game, both before any
-    set-up or draw; a point (dimension 0) has the empty estimate. Raises
+    ValueError for samples that are not a positive integer or a polytope
+    not built from a game, all before any set-up or draw; a point
+    (dimension 0) has the empty estimate. Raises
     EstimateInconclusiveError when fewer than two samples land inside
     the polytope, since one point admits no error estimate. The share
     that lands falls steeply with the dimension (README "Scale" has
     measured rates).
     """
+    try:
+        samples = index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, not {samples!r}") from None
     if samples < 1:
         raise ValueError("samples must be positive")
     if samples > MAX_MC_SAMPLES:

@@ -353,34 +353,59 @@ def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_estimates_read_the_game_not_the_builder_rows(monkeypatch, builder):
     # the estimator writes its rows from the game's coalitions, so a game
-    # polytope estimates alike without the integer rows its builder wrote
-    def scaled_rows(*args):
-        raise AssertionError("the builder's rows were read")
+    # polytope estimates without ever writing its integer rows
+    def written(*args):
+        raise AssertionError("the polytope's integer rows were written")
 
-    monkeypatch.setattr(polytope, "_scaled_rows", scaled_rows)
     for spec in MC_GAMES[:6]:
         game = parse_game(spec)
         poly = builder(game)
-        poly.constraints  # the reference reads them; written while the rows are kept
-        del poly._cache["rows"]
-        assert_same_estimate(poly, 20_000, 3, game)
+        with monkeypatch.context() as patched:
+            patched.setattr(polytope, "_game_rows", written)
+            patched.setattr(polytope, "_scaled_rows", written)
+            outcome(estimate_centroid_mc, poly, 20_000, 3)
+        assert "rows" not in poly._cache
+        assert_same_estimate(poly, 20_000, 3, game)  # the reference reads the rows
 
 
-def assert_refused_or_point(monkeypatch, poly, samples, seed):
-    """A point has the empty estimate; any other polytope without a game
-    is refused before any set-up or draw."""
+def forbid_set_up(monkeypatch):
+    """Make any estimate's set-up or draw fail the test."""
 
     def set_up(*args):
         raise AssertionError("set-up or a draw started")
 
     monkeypatch.setattr(polytope, "_proposal", set_up)
     monkeypatch.setattr(np.random, "default_rng", set_up)
+
+
+def assert_refused_or_point(monkeypatch, poly, samples, seed):
+    """A point has the empty estimate; any other polytope without a game
+    is refused before any set-up or draw."""
+    forbid_set_up(monkeypatch)
     if poly.dim == 0:
         assert estimate_centroid_mc(poly, samples, seed) == ((), ())
     else:
         with pytest.raises(ValueError, match="built from a game"):
             estimate_centroid_mc(poly, samples, seed)
     assert "mc" not in poly._cache
+
+
+@pytest.mark.parametrize("samples", [2.5, 2_000.0, "2000", None])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_non_integer_samples_are_refused_before_set_up(monkeypatch, builder, samples):
+    poly = builder(parse_game("[3;2,1,1]"))
+    forbid_set_up(monkeypatch)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        estimate_centroid_mc(poly, samples, 1)
+    assert "mc" not in poly._cache
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_integer_samples_of_any_integer_type_estimate_alike(builder):
+    poly = builder(parse_game("[3;2,1,1]"))
+    assert estimate_centroid_mc(poly, np.int64(2_000), 1) == estimate_centroid_mc(
+        poly, 2_000, 1
+    )
 
 
 @pytest.mark.parametrize("row_block", [1, 3, 32])

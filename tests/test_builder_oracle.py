@@ -1,23 +1,27 @@
 """Polytope builders against their from-the-definition references.
 
 Each builder must return the reference's constraints, labels included,
-and keep integer rows equal to those its Fractions rescale to. The
-exact stages and the Monte Carlo estimator read only those rows and the
-vertex table, so they build no Constraint or Vertex.
+and write integer rows equal to those its Fractions rescale to. It
+writes them only when an exact stage or its constraints first read
+them: a build, an estimate and an exact stage refused past the voter
+cap write none. The exact stages and the Monte Carlo estimator build no
+Constraint or Vertex.
 """
 
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powerpoly import polytope
-from powerpoly.game_core import parse_game
+from powerpoly.game_core import ScaleExceededError, WeightedGame, parse_game
 from powerpoly.indices import average_representation_index, average_weight_index
 from powerpoly.polytope import (
     Constraint,
     EstimateInconclusiveError,
     Vertex,
+    _rows,
     _scaled_rows,
     build_representation_polytope,
     build_weight_polytope,
@@ -40,7 +44,7 @@ def assert_builds_reference(builder, oracle, game):
     got, want = builder(game), oracle(game)
     assert got.dim == want.dim
     assert got.constraints == want.constraints
-    assert got._cache["rows"] == _scaled_rows(got.constraints)
+    assert _rows(got) == _scaled_rows(got.constraints)
 
 
 @pytest.mark.parametrize("builder, oracle", PAIRS)
@@ -54,6 +58,55 @@ def test_builders_on_catalogue_and_mc_games(builder, oracle):
 def test_builders_on_drawn_games(game):
     for builder, oracle in PAIRS:
         assert_builds_reference(builder, oracle, game)
+
+
+@st.composite
+def larger_games(draw):
+    n = draw(st.integers(6, 8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    assume(sum(weights) > 0)
+    return WeightedGame(draw(st.integers(1, sum(weights))), weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_games())
+def test_builders_on_drawn_larger_games(game):
+    for builder, oracle in PAIRS:
+        assert_builds_reference(builder, oracle, game)
+
+
+@pytest.mark.parametrize(
+    "builder, index",
+    [
+        (build_weight_polytope, average_weight_index),
+        (build_representation_polytope, average_representation_index),
+    ],
+)
+def test_builds_estimates_and_refused_exact_stages_write_no_rows(
+    monkeypatch, builder, index
+):
+    small = builder(parse_game("[5;3,2,2,1]"))
+    big = builder(parse_game("[4;1,1,1,1,1,1,1,1,1]"))
+    shown = [repr(small), repr(big)]
+    assert "rows" not in small._cache and "rows" not in big._cache
+    estimate_centroid_mc(small, 2_000, seed=1)
+    with pytest.raises(EstimateInconclusiveError):
+        estimate_centroid_mc(big, 2_000, seed=1)
+    assert "rows" not in small._cache and "rows" not in big._cache
+    with pytest.raises(ScaleExceededError, match="at most 8 voters"):
+        centroid(big)
+    assert "rows" not in big._cache
+    # an exact stage that runs writes them, under the key checked above
+    centroid(small)
+    assert small._cache["rows"] == _scaled_rows(small.constraints)
+    assert shown == [repr(small), repr(big)]
+
+    def game_rows(*args):
+        raise AssertionError("integer rows were written")
+
+    monkeypatch.setattr(polytope, "_game_rows", game_rows)
+    with pytest.raises(ScaleExceededError, match="at most 8 voters"):
+        index(parse_game("[4;1,1,1,1,1,1,1,1,1]"))
 
 
 @pytest.mark.parametrize("builder, oracle", PAIRS)

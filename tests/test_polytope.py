@@ -61,6 +61,23 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="arity"):
             HPolytope(2, [Constraint((Fraction(1),), Fraction(0))])
 
+    @pytest.mark.parametrize(
+        "con",
+        [
+            Constraint((0.5,), Fraction(1)),
+            Constraint((Fraction(1),), 1.0),
+            Constraint((np.float64(1),), Fraction(1)),
+        ],
+    )
+    def test_entries_must_be_rational(self, con):
+        # a float used to build, then fail in the first exact stage
+        with pytest.raises(ValueError, match="must be rational"):
+            HPolytope(1, [con, Constraint((Fraction(-1),), Fraction(0))])
+
+    def test_int_entries_are_rational(self):
+        poly = HPolytope(1, [Constraint((1,), 1), Constraint((-1,), 0)])
+        assert vertex_coords(poly) == {(0,), (1,)}
+
 
 class TestWeightPolytope:
     def test_worked_example_vertices(self):
