@@ -6,7 +6,9 @@ quota. Coalitions are plain int bitmasks (bit i-1 set means voter i is a
 member), and the full coalition structure is derived exhaustively and
 exactly at construction time. Spec entries are read by
 `exact_math.parse_rational`, the package's one parser for rational
-literals. The grid scans and the Monte Carlo estimator read the minimal
+literals, and every other rational input by `exact_math.rational`. The
+constructor and the weight-vector tests compare integers over one common
+denominator. The grid scans and the Monte Carlo estimator read the minimal
 winning and maximal losing coalitions as one pair of membership
 matrices, _structure_matrices, the only code here that imports numpy.
 """
@@ -15,10 +17,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact_math import parse_rational
+from .exact_math import common_denominator, parse_rational, rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,28 +113,26 @@ class WeightedGame:
     )
 
     def __init__(self, quota, weights) -> None:
-        quota = Fraction(quota)
-        ws = tuple(Fraction(w) for w in weights)
+        quota = rational(quota)
+        ws = tuple(map(rational, weights))
         if not ws:
             raise GameFormatError("a game needs at least one voter")
         if len(ws) > MAX_VOTERS:
             raise ScaleExceededError(f"at most {MAX_VOTERS} voters are supported")
-        if quota <= 0:
+        # One common denominator turns every check and every coalition-weight
+        # comparison into integer arithmetic.
+        (q, *int_weights), scale = common_denominator((quota, *ws))
+        if q <= 0:
             raise GameFormatError("quota must be positive")
-        if any(w < 0 for w in ws):
+        if any(w < 0 for w in int_weights):
             raise GameFormatError("weights must be nonnegative")
-        if sum(ws) < quota:
+        if sum(int_weights) < q:
             raise GameFormatError("the grand coalition must reach the quota")
         self.n = len(ws)
         self.quota = quota
         self.weights = ws
-
-        # One common denominator turns every coalition-weight comparison
-        # into integer arithmetic.
-        scale = lcm(quota.denominator, *(w.denominator for w in ws))
-        int_weights = [int(w * scale) for w in ws]
         self._scale = scale
-        self._int_quota = int(quota * scale)
+        self._int_quota = q
 
         # light[m] is the bit of a lightest member of m. Weights are >= 0, so
         # a winning m is minimal iff it loses without a lightest member, and
@@ -149,7 +148,6 @@ class WeightedGame:
             light[m] = light[rest] if rest and table[light[rest]] < w else low
         self._mask_weight = table
 
-        q = self._int_quota
         full = size - 1
         self.minimal_winning = frozenset(
             m for m in range(size) if table[m] >= q > table[m ^ light[m]]
@@ -192,23 +190,18 @@ class WeightedGame:
         otherwise half the smallest positive gap between the quota and a
         coalition weight.
         """
-        total = sum(self.weights, Fraction(0))
-        if self._scale == 1:
-            delta = Fraction(1)
-        else:
-            gap = min(
-                abs(w - self._int_quota)
-                for w in self._mask_weight
-                if w != self._int_quota
-            )
-            delta = Fraction(gap, 2 * self._scale)
-        return WeightedGame(total - self.quota + delta, self.weights)
+        total, q, scale = self._mask_weight[-1], self._int_quota, self._scale
+        if scale == 1:
+            return WeightedGame(total - q + 1, self.weights)
+        gap = min(abs(w - q) for w in self._mask_weight if w != q)
+        return WeightedGame(Fraction(2 * (total - q) + gap, 2 * scale), self.weights)
 
     def normalize(self) -> NormalizedRepresentation:
         """Same game with weights scaled to sum to one."""
-        total = sum(self.weights, Fraction(0))
+        total = self._mask_weight[-1]
         return NormalizedRepresentation(
-            self.quota / total, tuple(w / total for w in self.weights)
+            Fraction(self._int_quota, total),
+            tuple(Fraction(self._mask_weight[1 << i], total) for i in range(self.n)),
         )
 
     def to_spec(self) -> str:
@@ -258,12 +251,12 @@ def desirability_classes(game: WeightedGame) -> tuple[tuple[int, ...], ...]:
     i is strictly more desirable exactly when some minimal winning
     coalition holds i but not j and loses once j replaces i.
     """
-    order = sorted(range(game.n), key=lambda i: -game.weights[i])
     table, q = game._mask_weight, game._int_quota
+    order = sorted(range(game.n), key=lambda i: -table[1 << i])
     classes = [[order[0] + 1]]
     for i, j in zip(order, order[1:]):
         swap = 1 << i | 1 << j
-        if game.weights[i] != game.weights[j] and any(
+        if table[1 << i] != table[1 << j] and any(
             table[m ^ swap] < q
             for m in game.minimal_winning
             if m >> i & 1 and not m >> j & 1
@@ -290,24 +283,23 @@ def _structure_matrices(game: WeightedGame) -> tuple[np.ndarray, np.ndarray]:
     return mat(game.minimal_winning), mat(game.maximal_losing)
 
 
-def _mask_sum(values: Sequence[Fraction], mask: int) -> Fraction:
-    total = Fraction(0)
-    i = 0
-    while mask:
-        if mask & 1:
-            total += values[i]
-        mask >>= 1
-        i += 1
-    return total
+def _checked_vector(game: WeightedGame, vector: Sequence, *lead) -> list[int]:
+    """Numerators of the `lead` values, then `vector`, over one denominator.
 
-
-def _checked_vector(game: WeightedGame, vector: Sequence) -> tuple[Fraction, ...]:
-    xs = tuple(Fraction(v) for v in vector)
+    The vector must hold game.n nonnegative rationals.
+    """
+    nums, _ = common_denominator((*lead, *vector))
+    xs = nums[len(lead) :]
     if len(xs) != game.n:
         raise ValueError("weight vector length mismatch")
-    if any(v < 0 for v in xs):
+    if any(x < 0 for x in xs):
         raise ValueError("weights must be nonnegative")
-    return xs
+    return nums
+
+
+def _weigh(xs: Sequence[int], masks: Iterable[Coalition]) -> list[int]:
+    """Weight of each coalition in `masks` under the weights `xs`."""
+    return [sum(x for i, x in enumerate(xs) if m >> i & 1) for m in masks]
 
 
 def is_feasible_weights(game: WeightedGame, vector: Sequence) -> bool:
@@ -318,9 +310,8 @@ def is_feasible_weights(game: WeightedGame, vector: Sequence) -> bool:
     does not change the answer.
     """
     xs = _checked_vector(game, vector)
-    lightest_win = min(_mask_sum(xs, s) for s in game.minimal_winning)
-    heaviest_loss = max(_mask_sum(xs, t) for t in game.maximal_losing)
-    return lightest_win > heaviest_loss
+    lightest_win = min(_weigh(xs, game.minimal_winning))
+    return lightest_win > max(_weigh(xs, game.maximal_losing))
 
 
 def is_representation(game: WeightedGame, quota, vector: Sequence) -> bool:
@@ -330,15 +321,14 @@ def is_representation(game: WeightedGame, quota, vector: Sequence) -> bool:
     strictly below it; by monotonicity it is enough to check minimal
     winning and maximal losing coalitions.
     """
-    q = Fraction(quota)
-    xs = _checked_vector(game, vector)
-    if any(_mask_sum(xs, s) < q for s in game.minimal_winning):
+    q, *xs = _checked_vector(game, vector, rational(quota))
+    if min(_weigh(xs, game.minimal_winning)) < q:
         return False
-    return all(_mask_sum(xs, t) < q for t in game.maximal_losing)
+    return max(_weigh(xs, game.maximal_losing)) < q
 
 
 def l1_distance(x: Sequence, y: Sequence) -> Fraction:
     """Sum of componentwise absolute differences, exact."""
     if len(x) != len(y):
         raise ValueError("vectors must have equal length")
-    return sum((abs(Fraction(a) - Fraction(b)) for a, b in zip(x, y)), Fraction(0))
+    return sum((abs(rational(a) - rational(b)) for a, b in zip(x, y)), Fraction(0))

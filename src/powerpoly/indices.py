@@ -5,6 +5,9 @@ the average representation index is the weight part of the barycenter of
 its representation polytope, which also yields an average quota. Both are
 exact rationals, sum to one, and (unlike the Shapley-Shubik index in
 general) are themselves feasible weight vectors for the game they score.
+Both are read off the barycenter's integer numerators over one common
+denominator, the last weight included, and the index checks compare
+such integers too.
 
 Results come as NamedTuples, not dataclasses, so that importing the
 package loads neither `dataclasses` nor `inspect`: IndexVector, which
@@ -18,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .exact_math import decimal_str
+from .exact_math import common_denominator, decimal_str
 from .game_core import (
     WeightedGame,
     desirability_classes,
@@ -27,9 +30,9 @@ from .game_core import (
 from .polytope import (  # the exact scale policy, re-exported here
     EXACT_GUARANTEED_VOTERS,
     EXACT_MAX_VOTERS,
+    _centroid_sums,
     build_representation_polytope,
     build_weight_polytope,
-    centroid,
     check_exact_scale,
 )
 
@@ -68,15 +71,16 @@ class IndexVector(_IndexFields):
     `avg_quota` is populated only by the average representation index
     (and its dummy-revealing variant), where the quota coordinate of the
     centroid is meaningful. The values are checked whenever a vector is
-    made, by `_replace` too.
+    made, by `_replace` too, in integers over their common denominator.
     """
 
     __slots__ = ()
 
     def __new__(cls, values, kind, avg_quota=None):
-        if any(v < 0 for v in values):
+        nums, den = common_denominator(values)
+        if any(x < 0 for x in nums):
             raise ValueError("index values must be nonnegative")
-        if sum(values, Fraction(0)) != 1:
+        if sum(nums) != den:
             raise ValueError("index values must sum to one")
         return super().__new__(cls, values, kind, avg_quota)
 
@@ -101,17 +105,16 @@ def shapley_shubik(game: WeightedGame) -> IndexVector:
     skip coalitions that already win.
     """
     n = game.n
+    table, q = game._mask_weight, game._int_quota
     fact = [factorial(k) for k in range(n + 1)]
     nums = [0] * n
     for m in range(1 << n):
-        if game.is_winning(m):
+        if table[m] >= q:
             continue
         coeff = fact[m.bit_count()] * fact[n - 1 - m.bit_count()]
         for i in range(n):
             bit = 1 << i
-            if m & bit:
-                continue
-            if game.is_winning(m | bit):
+            if not m & bit and table[m | bit] >= q:
                 nums[i] += coeff
     return IndexVector(
         tuple(Fraction(c, fact[n]) for c in nums), KIND_SSI
@@ -120,9 +123,8 @@ def shapley_shubik(game: WeightedGame) -> IndexVector:
 
 def average_weight_index(game: WeightedGame) -> IndexVector:
     """Barycenter of the polytope of compatible normalized weights."""
-    c = centroid(build_weight_polytope(game))
-    last = Fraction(1) - sum(c, Fraction(0))
-    return IndexVector(tuple(c) + (last,), KIND_AVG_WEIGHT)
+    sums, den = _centroid_sums(build_weight_polytope(game))
+    return IndexVector(_unit_sum(sums, den), KIND_AVG_WEIGHT)
 
 
 def average_representation_index(game: WeightedGame) -> IndexVector:
@@ -131,12 +133,15 @@ def average_representation_index(game: WeightedGame) -> IndexVector:
     The quota coordinate of the same barycenter is reported as
     `avg_quota`; together they form a representation of the game.
     """
-    c = centroid(build_representation_polytope(game))
-    weights = c[1:]
-    last = Fraction(1) - sum(weights, Fraction(0))
+    (quota, *sums), den = _centroid_sums(build_representation_polytope(game))
     return IndexVector(
-        tuple(weights) + (last,), KIND_AVG_REP, avg_quota=c[0]
+        _unit_sum(sums, den), KIND_AVG_REP, avg_quota=Fraction(quota, den)
     )
+
+
+def _unit_sum(sums: list[int], den: int) -> tuple[Fraction, ...]:
+    """Chart weights sums / den, then the last weight the unit sum leaves."""
+    return tuple(Fraction(s, den) for s in (*sums, den - sum(sums)))
 
 
 # The one registry of index kinds: kind name -> exact index function.
@@ -182,17 +187,17 @@ def check_axioms(game: WeightedGame, index: IndexVector) -> AxiomReport:
     the dummy property means dummies score zero (vacuously true without
     dummies).
     """
-    values = index.values
-    if len(values) != game.n:
+    if len(index.values) != game.n:
         raise ValueError("index length does not match the game")
+    nums, den = common_denominator(index.values)
     symmetric = all(
-        len({values[v - 1] for v in cls}) == 1
+        len({nums[v - 1] for v in cls}) == 1
         for cls in desirability_classes(game)
     )
-    positive = all(v >= 0 for v in values) and any(v > 0 for v in values)
-    efficient = sum(values, Fraction(0)) == 1
-    dummy_ok = all(values[i - 1] == 0 for i in game.dummies)
-    compatible = is_feasible_weights(game, values)
+    positive = all(x >= 0 for x in nums) and any(x > 0 for x in nums)
+    efficient = sum(nums) == den
+    dummy_ok = all(nums[i - 1] == 0 for i in game.dummies)
+    compatible = is_feasible_weights(game, nums)
     return AxiomReport(symmetric, positive, efficient, dummy_ok, compatible)
 
 

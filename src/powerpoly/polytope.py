@@ -34,9 +34,10 @@ cut into simplices by recursive apex coning over facets read off the
 table's columns, with no rank test. Volumes and first moments add up
 integer determinants (Bareiss) of each cell's homogeneous ray rows
 (x_v, t_v) over the table's common denominator, so the only Fractions
-are the final totals. The only floating point in this module sits in
-the Monte Carlo estimator, and only it imports numpy, on its first call:
-building a polytope and every exact stage run without numpy loaded. The
+are the values volume, moments and centroid return, built from those
+integer sums. The only floating point in this module sits in the Monte
+Carlo estimator, and only it imports numpy, on its first call: building
+a polytope and every exact stage run without numpy loaded. The
 estimator samples polytopes built from a game: it draws the weights
 from the chamber where they fall in the order of the game's voter
 classes (game_core.desirability_classes) and the quota from the interval
@@ -59,7 +60,7 @@ from numbers import Rational
 from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .exact_math import bareiss
+from .exact_math import bareiss, rational
 from .game_core import (
     ScaleExceededError,
     WeightedGame,
@@ -120,10 +121,13 @@ MAX_MC_SAMPLES = 1 << 24
 # found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
 # guaranteed count and within 10 s up to the cap, on either polytope:
 # 0.05 s at 7 voters, 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at
-# 9 ([22;9,8,7,6,5,4,3,2,1]). check_exact_scale is the one place that
-# applies them: the vertex table calls it before any work on a game
-# polytope, so every exact stage refuses there, the indices included; the
-# CLI calls it too, to note on stderr when a request is between the two.
+# 9 ([22;9,8,7,6,5,4,3,2,1]). The in-place integration kernel has since
+# cut the hardest of these (README "Scale": 0.4-0.8 s at 8 voters, 4-6 s
+# at 9); the caps stand until the survey is rerun. check_exact_scale is
+# the one place that applies them: the vertex table calls it before any
+# work on a game polytope, so every exact stage refuses there, the
+# indices included; the CLI calls it too, to note on stderr when a
+# request is between the two.
 EXACT_GUARANTEED_VOTERS = 7
 EXACT_MAX_VOTERS = 8
 
@@ -335,13 +339,15 @@ def _scaled_rows(
     """Primitive integer rows (a, b), each a positive multiple of its constraint.
 
     Row j is constraint j times the lcm of its denominators, over the gcd
-    of the cleared entries.
+    of the cleared entries. Entries are read through `rational`, so a
+    numpy integer becomes a Python int first and nothing wraps.
     """
     rows = []
     for con in constraints:
-        den = lcm(con.b.denominator, *(c.denominator for c in con.a))
-        a = tuple(c.numerator * (den // c.denominator) for c in con.a)
-        b = con.b.numerator * (den // con.b.denominator)
+        *a, b = map(rational, (*con.a, con.b))
+        den = lcm(b.denominator, *(c.denominator for c in a))
+        a = tuple(c.numerator * (den // c.denominator) for c in a)
+        b = b.numerator * (den // b.denominator)
         g = 0
         for c in a:
             g = gcd(g, c)
@@ -617,8 +623,8 @@ def triangulate(poly: HPolytope) -> list[Simplex]:
     return [Simplex(tuple(verts[i] for i in cell)) for cell in cells]
 
 
-def _integrate(poly: HPolytope) -> None:
-    """Cache volume and moments from one pass over the triangulation.
+def _integrate(poly: HPolytope) -> tuple[int, list[int]]:
+    """Integer volume and moment sums from one pass over the triangulation.
 
     Each vertex v is x_v / t_v for its primitive ray (x_v, t_v) from
     double description, and T is the vertex table's common denominator,
@@ -626,15 +632,20 @@ def _integrate(poly: HPolytope) -> None:
     cell's volume is |D| / (d! T^d), where D is the determinant of its
     edge matrix of R_v, and the integral of x_i over it is that volume
     times the vertex average of R_v,i / T. So the pass adds up integers
-    only: |D| into the volume sum and onto a weight per vertex of the
-    cell, the moments being sum_v weight_v R_v,i. A lone vertex (dim 0)
-    is one cell of volume 1.
+    only: |D| into the volume sum V and onto a weight per vertex of the
+    cell, the moment sums being S_i = sum_v weight_v R_v,i. Then the
+    volume is V / (d! T^d), moment i is S_i / ((d + 1)! T^(d+1)), and
+    centroid coordinate i is S_i / (T (d + 1) V). A lone vertex (dim 0)
+    is one cell of volume 1. Returns (V, [S_i]), memoized; volume and
+    moments build their Fractions from it on first read.
 
     D itself is one bareiss determinant of the cell's homogeneous ray
     rows (x_v, t_v): D = det(x_v, t_v) * prod(T / t_v) / T. Those rows
     keep the small entries of the rays, where T grows with every new
     denominator.
     """
+    if "integrals" in poly._cache:
+        return poly._cache["integrals"]
     d = poly.dim
     cells = _cells(poly)
     rays = poly._cache["rays"]
@@ -650,15 +661,11 @@ def _integrate(poly: HPolytope) -> None:
         total += det
         for i in cell:
             weight[i] += det
-    scale = factorial(d) * den**d
-    poly._cache["volume"] = Fraction(total, scale)
-    poly._cache["moments"] = tuple(
-        Fraction(
-            sum(w * r[i] * s for w, r, s in zip(weight, rays, lift)),
-            scale * den * (d + 1),
-        )
-        for i in range(d)
-    )
+    sums = [
+        sum(w * r[i] * s for w, r, s in zip(weight, rays, lift)) for i in range(d)
+    ]
+    poly._cache["integrals"] = total, sums
+    return total, sums
 
 
 def volume(poly: HPolytope) -> Fraction:
@@ -668,29 +675,43 @@ def volume(poly: HPolytope) -> Fraction:
     centroid, triangulate and polytope_to_json.
     """
     if "volume" not in poly._cache:
-        _integrate(poly)
+        total, _ = _integrate(poly)
+        d = poly.dim
+        poly._cache["volume"] = Fraction(total, factorial(d) * poly._cache["den"] ** d)
     return poly._cache["volume"]
 
 
 def moments(poly: HPolytope) -> tuple[Fraction, ...]:
     """Exact coordinate integrals over the polytope."""
     if "moments" not in poly._cache:
-        _integrate(poly)
+        _, sums = _integrate(poly)
+        d = poly.dim
+        scale = factorial(d + 1) * poly._cache["den"] ** (d + 1)
+        poly._cache["moments"] = tuple(Fraction(s, scale) for s in sums)
     return poly._cache["moments"]
 
 
-def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
-    """Exact barycenter (moments divided by volume)."""
+def _centroid_sums(poly: HPolytope) -> tuple[list[int], int]:
+    """The barycenter's integer numerators and their common denominator.
+
+    Raises DegenerateGeometryError for an empty or zero-volume polytope.
+    """
     if poly.dim == 0:
         if not _vertex_table(poly):
             raise DegenerateGeometryError("empty polytope has no centroid")
-        return ()
-    vol = volume(poly)
-    if vol == 0:
+        return [], 1
+    total, sums = _integrate(poly)
+    if not total:
         raise DegenerateGeometryError(
             "zero-volume polytope has no well-defined centroid"
         )
-    return tuple(m / vol for m in moments(poly))
+    return sums, poly._cache["den"] * (poly.dim + 1) * total
+
+
+def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
+    """Exact barycenter (moments divided by volume), from the integer sums."""
+    sums, den = _centroid_sums(poly)
+    return tuple(Fraction(s, den) for s in sums)
 
 
 # -- Monte Carlo cross-check --------------------------------------------

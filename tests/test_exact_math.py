@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerpoly.exact_math import bareiss, decimal_str, parse_rational
@@ -35,6 +35,24 @@ class TestParseRational:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("text", ["1/0", " -0/000 ", "+12/00"])
+    def test_zero_denominator_names_the_text(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"zero denominator in {text!r}"
+
+    @given(
+        st.sampled_from(["", "+", "-"]),
+        st.from_regex(r"\A[0-9]{1,25}\Z"),
+        st.none() | st.from_regex(r"\A0*[1-9][0-9]{0,24}\Z"),
+    )
+    def test_matches_fraction_on_signed_tokens(self, sign, num, den):
+        # leading zeros in either part, large parts, and every sign
+        token = sign + num + ("" if den is None else "/" + den)
+        value = parse_rational(token)
+        assert value == Fraction(token)
+        assert type(value.numerator) is int and type(value.denominator) is int
+
 
 class TestDecimalStr:
     def test_six_places_default(self):
@@ -64,6 +82,23 @@ class TestDecimalStr:
     def test_refuses_past_thousand_places(self):
         with pytest.raises(ValueError, match="at most 1000"):
             decimal_str(Fraction(1, 3), 1001)
+
+    @given(st.data())
+    def test_matches_rounding_the_scaled_fraction(self, data):
+        places = data.draw(st.integers(0, 50))
+        if data.draw(st.booleans()):
+            # an exact tie halfway between two roundings, of either sign
+            k = data.draw(st.integers(-(10**6), 10**6))
+            value = Fraction(2 * k + 1, 2 * 10**places)
+        else:
+            value = data.draw(
+                st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9)
+            )
+        scaled = round(Fraction(value) * 10**places)
+        sign = "-" if scaled < 0 else ""
+        whole, frac = divmod(abs(scaled), 10**places)
+        want = f"{sign}{whole}" + (f".{frac:0{places}d}" if places else "")
+        assert decimal_str(value, places) == want
 
 
 def det(rows):
@@ -116,7 +151,8 @@ class TestDeterminant:
         assert det(rows) == det(t)
 
 
-# few distinct entries, many zeros: rank deficiency and pivot-free columns
+# few distinct entries, many zeros: rank deficiency and pivot-free columns,
+# rows whose multiplier is 0, and successive pivots that are equal
 sparse_entries = st.sampled_from([0] * 4 + [1, -2, 3, -5, 12])
 
 
@@ -125,23 +161,55 @@ def fractions(rows):
 
 
 def matrices(rows, cols):
-    return st.lists(
-        st.lists(sparse_entries, min_size=cols, max_size=cols),
-        min_size=rows,
-        max_size=rows,
+    """rows x cols matrices of sparse entries, some columns all zero."""
+    return st.tuples(
+        st.lists(
+            st.lists(sparse_entries, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        ),
+        st.sets(st.integers(0, max(cols - 1, 0))),
+    ).map(
+        lambda mz: [
+            [0 if j in mz[1] else x for j, x in enumerate(row)] for row in mz[0]
+        ]
     )
+
+
+# Rows below the first pivot with a 0 in its column: left as they are
+# under equal pivots (1 after the start value 1), scaled by 2 otherwise.
+EQUAL_PIVOTS = [[1, 2, 0], [0, 1, 3], [0, 4, 1]]
+UNEQUAL_PIVOTS = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
+# Scaling such a row by pivot // previous pivot, and not entry by entry,
+# gets this determinant wrong.
+ROUNDED_SCALE = [
+    [12, 0, -2, 0, 0, -5, 1, 0],
+    [3, 12, 0, 0, 1, 0, -2, 12],
+    [3, 12, 0, 1, 1, -5, 12, 3],
+    [0, -5, 0, 3, 3, 0, -2, 12],
+    [-2, 0, -5, 12, 0, 0, 12, 3],
+    [-2, -5, 0, -5, 0, 1, 3, 0],
+    [0, 12, 0, 0, 0, 12, 12, 0],
+    [3, 12, -2, -2, -5, 1, 12, 0],
+]
 
 
 @given(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    st.tuples(st.integers(0, 10), st.integers(0, 10)).flatmap(
         lambda shape: matrices(*shape)
     )
 )
+@example(EQUAL_PIVOTS)
+@example(UNEQUAL_PIVOTS)
+@example(ROUNDED_SCALE)
 def test_rank_matches_fraction_elimination(rows):
     assert rank(rows) == _eliminate(fractions(rows))[0]
 
 
-@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
+@given(st.integers(0, 10).flatmap(lambda n: matrices(n, n)))
+@example(EQUAL_PIVOTS)
+@example(UNEQUAL_PIVOTS)
+@example(ROUNDED_SCALE)
 def test_determinant_matches_fraction_elimination(rows):
     rnk, ref = _eliminate(fractions(rows))
     assert det(rows) == (ref if rnk == len(rows) else 0)

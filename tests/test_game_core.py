@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -394,6 +395,40 @@ class TestL1Distance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             l1_distance((1,), (1, 2))
+
+
+class TestNumpyIntegers:
+    """numpy integers are read as Python ints, so no sum of them wraps."""
+
+    BIG = 2**62
+
+    def test_game_equals_the_python_int_game(self):
+        want = WeightedGame(3, [self.BIG, self.BIG, 1])
+        got = WeightedGame(
+            np.int64(3), [np.int64(self.BIG), np.int64(self.BIG), np.int64(1)]
+        )
+        assert (got.quota, got.weights) == (want.quota, want.weights)
+        assert got.to_spec() == want.to_spec()
+        assert got.minimal_winning == want.minimal_winning
+        assert got.maximal_losing == want.maximal_losing
+        assert got.dummies == want.dummies
+        for x in (got.quota, *got.weights):
+            assert type(x.numerator) is int and type(x.denominator) is int
+
+    @pytest.mark.parametrize("vector", [(BIG, BIG, BIG), (BIG, BIG, 1)])
+    def test_weight_vectors_equal_the_python_int_vectors(self, vector):
+        game = parse_game("[2;1,1,1]")
+        as_numpy = [np.int64(x) for x in vector]
+        assert is_feasible_weights(game, as_numpy)
+        assert is_feasible_weights(game, vector)
+        quota = 2 * self.BIG
+        assert is_representation(game, quota, as_numpy) == is_representation(
+            game, quota, vector
+        )
+
+    def test_l1_distance(self):
+        distance = l1_distance([np.int64(self.BIG)], [np.int64(-self.BIG)])
+        assert distance == 2 * self.BIG
 
 
 class TestGameIdentity:

@@ -23,6 +23,7 @@ from powerpoly import (
     parse_game,
     shapley_shubik,
 )
+from expected_values import FRONTIER
 
 
 def ssi_by_permutations(game):
@@ -142,6 +143,17 @@ def test_weight_index_past_the_row_cap_names_the_rows():
     # the weight polytope of 10 tied voters is refused by its builder
     with pytest.raises(ScaleExceededError, match="has 52930 constraint rows"):
         average_weight_index(parse_game("[5;1,1,1,1,1,1,1,1,1,1]"))
+
+
+@pytest.mark.parametrize("spec", list(FRONTIER))
+def test_eight_voter_frontier(spec):
+    # past the guaranteed 7 voters the indices are still exact and pinned
+    weight, rep, avg_quota = FRONTIER[spec]
+    game = parse_game(spec)
+    assert average_weight_index(game).values == weight
+    index = average_representation_index(game)
+    assert index.values == rep
+    assert index.avg_quota == avg_quota
 
 
 class TestDummyRevealing:

@@ -78,6 +78,31 @@ class TestInputChecks:
         poly = HPolytope(1, [Constraint((1,), 1), Constraint((-1,), 0)])
         assert vertex_coords(poly) == {(0,), (1,)}
 
+    def test_numpy_integer_entries_are_read_as_ints(self):
+        # 2^62 * 3 wraps in int64 where the row clears the denominator 3
+        big = 2**62
+
+        def system(k):
+            return HPolytope(
+                2,
+                [
+                    Constraint((k(big), Fraction(1, 3)), k(big)),
+                    Constraint((k(-1), k(0)), k(0)),
+                    Constraint((0, -1), 0),
+                    Constraint((0, 1), 1),
+                ],
+            )
+
+        want, got = system(int), system(np.int64)
+        assert polytope._rows(got) == polytope._rows(want)
+        assert enumerate_vertices(got) == enumerate_vertices(want)
+        assert volume(got) == volume(want) == 1 - Fraction(1, 6 * big)
+
+    def test_numpy_zero_entry_enumerates(self):
+        # its Fraction used to keep the numpy type and fail when hashed
+        poly = HPolytope(1, [Constraint((1,), 1), Constraint((-1,), np.int64(0))])
+        assert vertex_coords(poly) == {(0,), (1,)}
+
 
 class TestWeightPolytope:
     def test_worked_example_vertices(self):
