@@ -26,8 +26,6 @@ from .game_core import (
 )
 from .indices import (
     AxiomReport,
-    EXACT_GUARANTEED_VOTERS,
-    EXACT_MAX_VOTERS,
     INDICES,
     IndexVector,
     KIND_AVG_REP,
@@ -36,7 +34,6 @@ from .indices import (
     average_representation_index,
     average_weight_index,
     check_axioms,
-    check_exact_scale,
     dummy_revealing,
     index_to_json,
     is_representation_compatible_at,
@@ -55,6 +52,7 @@ from .integer_reps import (
 from .polytope import (
     Constraint,
     DegenerateGeometryError,
+    EXACT_MAX_VOTERS,
     EstimateInconclusiveError,
     HPolytope,
     Simplex,
@@ -62,6 +60,7 @@ from .polytope import (
     build_representation_polytope,
     build_weight_polytope,
     centroid,
+    check_exact_scale,
     enumerate_vertices,
     estimate_centroid_mc,
     moments,

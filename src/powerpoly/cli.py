@@ -4,10 +4,9 @@ Subcommands: `index` (power indices), `polytope` (geometry inspection),
 `intreps` (integer grids), `table` (the built-in n <= 4 catalogue).
 Exit codes: 0 on success, 2 for malformed input, 3 for requests beyond
 the supported scale: the library refuses those with ScaleExceededError
-before starting the work, and this module maps that to exit 3. For its
-stderr note past the guaranteed exact scale, an exact `index` or
-`polytope` request calls check_exact_scale itself, which refuses past
-the voter cap as the exact stages would.
+before starting the work (the builders past their row cap, the exact
+stages past their voter cap), and this module maps that to exit 3 with
+the library's message. It checks no scale limit of its own.
 """
 
 from __future__ import annotations
@@ -22,14 +21,10 @@ from .canonical_games import canonical_games
 from .exact_math import MAX_PRECISION, decimal_str
 from .game_core import GameFormatError, ScaleExceededError, parse_game
 from .indices import (
-    EXACT_GUARANTEED_VOTERS,
     INDICES,
-    KIND_AVG_WEIGHT,
-    KIND_SSI,
     average_representation_index,
     average_weight_index,
     check_axioms,
-    check_exact_scale,
     dummy_revealing,
     index_to_json,
 )
@@ -83,22 +78,8 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _check_exact_scale(kind: str, n: int) -> None:
-    """check_exact_scale, with a note on stderr past the guaranteed scale."""
-    if check_exact_scale(kind, n):
-        print(
-            f"note: {n} voters is beyond the guaranteed exact scale "
-            f"({EXACT_GUARANTEED_VOTERS}); this may take a while",
-            file=sys.stderr,
-        )
-
-
 def _cmd_index(args) -> int:
     game = parse_game(args.game)
-    if args.kind != KIND_SSI:
-        # --dummy-revealing runs the exact pipeline on the dummy-free game
-        n = game.n - len(game.dummies) if args.dummy_revealing else game.n
-        _check_exact_scale("weight" if args.kind == KIND_AVG_WEIGHT else "rep", n)
     if args.dummy_revealing:
         index = dummy_revealing(args.kind, game)
     else:
@@ -122,10 +103,6 @@ def _cmd_polytope(args) -> int:
         build_weight_polytope if args.kind == "weight"
         else build_representation_polytope
     )
-    wants_exact = (
-        args.vertices or args.volume or args.moments or args.json
-        or not args.estimate_centroid_mc
-    )
     if args.estimate_centroid_mc:
         if args.seed is None:
             raise GameFormatError("--estimate-centroid-mc requires --seed")
@@ -134,35 +111,33 @@ def _cmd_polytope(args) -> int:
         if args.samples < 1:
             raise GameFormatError("--samples must be positive")
     poly = build(game)  # refuses past MAX_POLYTOPE_ROWS, exact or not
-    if wants_exact:
-        _check_exact_scale(args.kind, game.n)
+    # all output is computed before any is written, the estimate last, so
+    # a refused or inconclusive estimate leaves stdout empty
+    lines = []
     if args.json:
         doc = polytope_to_json(poly)
-        if args.estimate_centroid_mc:
-            est, err = estimate_centroid_mc(poly, args.samples, args.seed)
-            doc["mc_centroid"] = list(est)
-            doc["mc_stderr"] = list(err)
-            doc["samples"] = args.samples
-            doc["seed"] = args.seed
-        _emit_json(doc)
-        return 0
-    # every line is computed before the first is written, so a refused
-    # or inconclusive estimate leaves stdout empty
-    lines = []
-    if args.vertices:
-        verts = enumerate_vertices(poly)
-        lines.append(
-            " ".join("(" + ", ".join(str(c) for c in v.coords) + ")" for v in verts)
-        )
-    if args.volume:
-        lines.append(str(volume(poly)))
-    if args.moments:
-        lines.append(_values_line(moments(poly)))
+    else:
+        if args.vertices:
+            verts = enumerate_vertices(poly)
+            lines.append(" ".join(f"({', '.join(map(str, v.coords))})" for v in verts))
+        if args.volume:
+            lines.append(str(volume(poly)))
+        if args.moments:
+            lines.append(_values_line(moments(poly)))
     if args.estimate_centroid_mc:
         est, err = estimate_centroid_mc(poly, args.samples, args.seed)
-        places = args.precision
-        lines.append("mc centroid: " + " ".join(f"{v:.{places}f}" for v in est))
-        lines.append("mc stderr: " + " ".join(f"{v:.{places}f}" for v in err))
+        if args.json:
+            doc.update(
+                mc_centroid=list(est), mc_stderr=list(err),
+                samples=args.samples, seed=args.seed,
+            )
+        else:
+            places = args.precision
+            lines.append("mc centroid: " + " ".join(f"{v:.{places}f}" for v in est))
+            lines.append("mc stderr: " + " ".join(f"{v:.{places}f}" for v in err))
+    if args.json:
+        _emit_json(doc)
+        return 0
     if not lines:
         lines.append(f"dim: {poly.dim}")
         lines.append(f"vertices: {len(_vertex_table(poly))}")

@@ -27,19 +27,14 @@ from .game_core import (
     desirability_classes,
     is_feasible_weights,
 )
-from .polytope import (  # the exact scale policy, re-exported here
-    EXACT_GUARANTEED_VOTERS,
-    EXACT_MAX_VOTERS,
+from .polytope import (
     _centroid_sums,
     build_representation_polytope,
     build_weight_polytope,
-    check_exact_scale,
 )
 
 __all__ = [
     "AxiomReport",
-    "EXACT_GUARANTEED_VOTERS",
-    "EXACT_MAX_VOTERS",
     "INDICES",
     "IndexVector",
     "KIND_AVG_REP",
@@ -48,7 +43,6 @@ __all__ = [
     "average_representation_index",
     "average_weight_index",
     "check_axioms",
-    "check_exact_scale",
     "dummy_revealing",
     "index_to_json",
     "is_representation_compatible_at",

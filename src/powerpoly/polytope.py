@@ -16,8 +16,10 @@ polytope built by hand. A game polytope writes its Constraint objects,
 labels included, only when its `constraints` are first read (polytope
 --json, library callers); no exact stage and no estimate reads them.
 So a build, an estimate and an exact stage refused at the voter cap
-write no row. The value types here, like the package's others, are
-NamedTuples, which a process defines far faster than dataclasses.
+write no row, nor does polytope_to_json, which enumerates the vertices
+before it reads the constraints. The value types here, like the
+package's others, are NamedTuples, which a process defines far faster
+than dataclasses.
 
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
@@ -75,7 +77,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Constraint",
     "DegenerateGeometryError",
-    "EXACT_GUARANTEED_VOTERS",
     "EXACT_MAX_VOTERS",
     "EstimateInconclusiveError",
     "HPolytope",
@@ -115,20 +116,15 @@ MAX_POLYTOPE_ROWS = 20_000
 # 3.1-3.4M samples/s on a 2-vCPU VM, draws within 10 s (2^24 in 5.3 s).
 MAX_MC_SAMPLES = 1 << 24
 
-# Exact scale policy. Triangulation size, and with it the integer
-# integration cost, grows quickly with the voter count. The worst case
-# measured (20 random games per voter count plus the hardest games
-# found, Python 3.11 on 2 vCPUs) finishes within 1 s up to the
-# guaranteed count and within 10 s up to the cap, on either polytope:
-# 0.05 s at 7 voters, 0.7-3 s at 8 ([18;8,7,6,5,4,3,2,1]) and 10-16 s at
-# 9 ([22;9,8,7,6,5,4,3,2,1]). The in-place integration kernel has since
-# cut the hardest of these (README "Scale": 0.4-0.8 s at 8 voters, 4-6 s
-# at 9); the caps stand until the survey is rerun. check_exact_scale is
-# the one place that applies them: the vertex table calls it before any
-# work on a game polytope, so every exact stage refuses there, the
-# indices included; the CLI calls it too, to note on stderr when a
-# request is between the two.
-EXACT_GUARANTEED_VOTERS = 7
+# Exact scale policy: the most voters a game polytope's exact stages take.
+# Survey (Python 3.11, 2 vCPUs, one fresh process per polytope): on 102
+# eight-voter games each polytope took at most 0.73 s and 23 MB RSS, the
+# hardest being [18;8,7,6,5,4,3,2,1] (0.37 / 0.73 s, weight /
+# representation). At 9 voters 12 drawn games took a median of 0.78 /
+# 0.11 s, but [20;9,...,1] and [22;9,...,1] took 3.7-5.4 s, so the cap
+# stays at 8. check_exact_scale is the one place that applies it: the
+# vertex table calls it before any work on a game polytope, so every exact
+# stage refuses there, the indices and the CLI included.
 EXACT_MAX_VOTERS = 8
 
 ROW_BLOCK = 32  # most constraint rows a Monte Carlo chunk is tested against at once
@@ -137,12 +133,11 @@ COLUMN_CHUNK = 1 << 13  # points of a Monte Carlo batch drawn and tested at once
 _SMALL = {v: Fraction(v) for v in range(-2, 3)}  # every entry of a game row
 
 
-def check_exact_scale(kind: str, n: int) -> bool:
+def check_exact_scale(kind: str, n: int) -> None:
     """Refuse an exact pipeline run on the `kind` polytope with n voters.
 
     `kind` is "weight" or "rep" and only names the polytope in the
-    error. Raises ScaleExceededError beyond EXACT_MAX_VOTERS; otherwise
-    returns whether n is past EXACT_GUARANTEED_VOTERS.
+    error. Raises ScaleExceededError beyond EXACT_MAX_VOTERS.
     """
     if n > EXACT_MAX_VOTERS:
         raise ScaleExceededError(
@@ -150,7 +145,6 @@ def check_exact_scale(kind: str, n: int) -> bool:
             f"{EXACT_MAX_VOTERS} voters; use estimate_centroid_mc "
             f"(polytope --estimate-centroid-mc) instead"
         )
-    return n > EXACT_GUARANTEED_VOTERS
 
 
 class DegenerateGeometryError(ValueError):
@@ -990,15 +984,16 @@ def polytope_to_json(poly: HPolytope) -> dict:
 
     Raises ValueError for an unbounded polytope, which has no volume.
     """
+    # first, so a polytope past the voter cap is refused before its
+    # constraints are written
+    vertices = enumerate_vertices(poly)
     return {
         "dim": poly.dim,
         "constraints": [
             {"a": [str(c) for c in con.a], "b": str(con.b), "label": con.label}
             for con in poly.constraints
         ],
-        "vertices": [
-            [str(c) for c in v.coords] for v in enumerate_vertices(poly)
-        ],
+        "vertices": [[str(c) for c in v.coords] for v in vertices],
         "volume": str(volume(poly)),
         "moments": [str(m) for m in moments(poly)],
     }

@@ -16,7 +16,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
-from powerpoly import integer_reps, parse_game, polytope
+from powerpoly import ScaleExceededError, integer_reps, parse_game, polytope
 from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
 from powerpoly.exact_math import decimal_str
 from powerpoly.polytope import MAX_MC_SAMPLES, MAX_POLYTOPE_ROWS
@@ -153,11 +153,12 @@ class TestIndexCommand:
         assert err.startswith("error:")
 
     def test_soft_scale_note(self, capsys):
+        # 8 voters, the exact cap, run with no note on stderr
         code, out, err = run(
             capsys, "index", "--kind", "avg-weight", "--game", "[8;1,1,1,1,1,1,1,1]"
         )
         assert (code, out) == (0, "1/8 1/8 1/8 1/8 1/8 1/8 1/8 1/8\n")
-        assert "beyond the guaranteed exact scale" in err
+        assert err == ""
 
     def test_no_scale_note_without_the_exact_pipeline(self, capsys):
         code, _, err = run(
@@ -166,20 +167,27 @@ class TestIndexCommand:
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
-        "kind, spec, noted",
+        "kind, spec, want",
         [
-            ("avg-rep", "[3;1,1,1,1,1,1,1,0,0]", False),
-            ("avg-weight", "[4;1,1,1,1,1,1,1,1,0]", True),
+            ("avg-rep", "[3;1,1,1,1,1,1,1,0,0]", 0),
+            ("avg-weight", "[4;1,1,1,1,1,1,1,1,0]", 0),
+            ("avg-weight", "[4;1,1,1,1,1,1,1,1,1]", 3),
         ],
     )
     def test_dummy_revealing_scale_counts_the_reduced_game(
-        self, capsys, kind, spec, noted
+        self, capsys, kind, spec, want
     ):
-        code, _, err = run(
+        # 9 voters: the exact pipeline runs on the reduced game unless no
+        # voter is a dummy
+        code, out, err = run(
             capsys, "index", "--kind", kind, "--dummy-revealing", "--game", spec
         )
-        assert code == 0
-        assert ("beyond the guaranteed exact scale" in err) == noted
+        assert code == want
+        if want:
+            assert out == ""
+            assert "at most 8 voters" in err
+        else:
+            assert err == ""
 
     def test_scale_failure_exits_3_naming_fallback(self, capsys):
         code, _, err = run(
@@ -188,6 +196,16 @@ class TestIndexCommand:
         )
         assert code == 3
         assert "estimate_centroid_mc" in err
+
+    def test_past_both_caps_names_the_rows(self, capsys):
+        # 10 voters, and the weight polytope has more rows than its builder
+        # builds: the builder's refusal is the one reported
+        code, out, err = run(
+            capsys,
+            "index", "--kind", "avg-weight", "--game", "[5;1,1,1,1,1,1,1,1,1,1]",
+        )
+        assert (code, out) == (3, "")
+        assert "52930 constraint rows" in err
 
 
 class TestPolytopeCommand:
@@ -238,7 +256,7 @@ class TestPolytopeCommand:
             "--game", "[8;1,1,1,1,1,1,1,1]",
         )
         assert (code, out) == (0, "1/5040\n")
-        assert "beyond the guaranteed exact scale" in err
+        assert err == ""
 
     def test_mc_requires_seed(self, capsys):
         code, _, err = run(
@@ -347,6 +365,24 @@ class TestPolytopeCommand:
             )
             assert code == 3
             assert err.startswith("error:")
+
+    def test_json_past_the_voter_cap_writes_no_row(self, capsys, monkeypatch):
+        # polytope_to_json enumerates the vertices, which refuse 9 voters,
+        # before it reads the constraints
+        def coalition_str(mask):
+            raise AssertionError("a coalition row was written")
+
+        monkeypatch.setattr(polytope, "coalition_str", coalition_str)
+        spec = "[4;1,1,1,1,1,1,1,1,1]"
+        poly = polytope.build_weight_polytope(parse_game(spec))
+        with pytest.raises(ScaleExceededError, match="at most 8 voters"):
+            polytope.polytope_to_json(poly)
+        assert poly._constraints is None and "rows" not in poly._cache
+        code, out, err = run(
+            capsys, "polytope", "--kind", "weight", "--json", "--game", spec
+        )
+        assert (code, out) == (3, "")
+        assert "at most 8 voters" in err
 
     def test_json_with_mc_fields(self, capsys):
         code, out, _ = run(

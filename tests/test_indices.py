@@ -147,7 +147,7 @@ def test_weight_index_past_the_row_cap_names_the_rows():
 
 @pytest.mark.parametrize("spec", list(FRONTIER))
 def test_eight_voter_frontier(spec):
-    # past the guaranteed 7 voters the indices are still exact and pinned
+    # at the 8-voter cap the indices are still exact and pinned
     weight, rep, avg_quota = FRONTIER[spec]
     game = parse_game(spec)
     assert average_weight_index(game).values == weight
