@@ -140,7 +140,7 @@ def _cmd_polytope(args) -> int:
         return 0
     if not lines:
         lines.append(f"dim: {poly.dim}")
-        lines.append(f"vertices: {len(_vertex_table(poly))}")
+        lines.append(f"vertices: {len(_vertex_table(poly).rays)}")
         lines.append(f"volume: {volume(poly)}")
         lines.append(f"centroid: {_values_line(centroid(poly))}")
     print("\n".join(lines))

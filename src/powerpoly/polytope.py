@@ -24,10 +24,13 @@ than dataclasses.
 Everything downstream of construction is exact: vertices are the extreme
 rays of the homogenized cone, found by integer double description, and
 their zero sets say which constraints are tight where. The same pass
-keeps one vertex table that every later exact stage reads: the rays,
-their common denominator, and per distinct row the bitmask of the
-vertices tight on it. Only enumerate_vertices turns the table into
-Vertex objects, with Fraction coordinates, on its first call. Vertex
+fills one vertex table, memoized as one value, that every later exact
+stage reads through _vertex_table: the rays and their common
+denominator (`rays`, `den`), per distinct row the bitmask of the
+vertices tight on it (`cols`), the rays' zero sets (`zeros`), each
+distinct row's constraints (`groups`) and whether the polytope is
+`unbounded`. Only enumerate_vertices turns the table into Vertex
+objects, with Fraction coordinates, on its first call. Vertex
 enumeration refuses a game polytope of more than EXACT_MAX_VOTERS
 voters (check_exact_scale), and with it every exact stage; the stages
 after it refuse an unbounded polytope, which double description shows
@@ -62,7 +65,7 @@ from numbers import Rational
 from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .exact_math import bareiss, rational
+from .exact_math import bareiss, common_denominator
 from .game_core import (
     ScaleExceededError,
     WeightedGame,
@@ -142,8 +145,9 @@ def check_exact_scale(kind: str, n: int) -> None:
     if n > EXACT_MAX_VOTERS:
         raise ScaleExceededError(
             f"exact {kind} polytope pipeline supports at most "
-            f"{EXACT_MAX_VOTERS} voters; use estimate_centroid_mc "
-            f"(polytope --estimate-centroid-mc) instead"
+            f"{EXACT_MAX_VOTERS} voters; at this scale estimate_centroid_mc "
+            f"(polytope --estimate-centroid-mc) needs up to {MAX_MC_SAMPLES} "
+            f"samples and may still land none"
         )
 
 
@@ -180,12 +184,12 @@ class HPolytope:
     """Intersection of closed halfspaces in Q^dim.
 
     Instances are immutable once built; derived data (integer rows, the
-    vertex table, cells, volume, moments) is computed on demand and
-    memoized on the instance, and so are the constraints of a polytope
-    built from a game. Every entry must be rational (an int or a
-    Fraction, say); anything else, a float included, raises ValueError.
-    Only vertex enumeration takes an unbounded polytope; the exact
-    stages after it raise ValueError.
+    vertex table, vertices, cells, integral sums) is computed on demand
+    and memoized on the instance, one cache entry each, and so are the
+    constraints of a polytope built from a game. Every entry must be
+    rational (an int or a Fraction, say); anything else, a float
+    included, raises ValueError. Only vertex enumeration takes an
+    unbounded polytope; the exact stages after it raise ValueError.
     """
 
     __slots__ = ("dim", "_constraints", "_cache")
@@ -332,24 +336,14 @@ def _scaled_rows(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Primitive integer rows (a, b), each a positive multiple of its constraint.
 
-    Row j is constraint j times the lcm of its denominators, over the gcd
-    of the cleared entries. Entries are read through `rational`, so a
-    numpy integer becomes a Python int first and nothing wraps.
+    Row j is constraint j over its common denominator (common_denominator,
+    which reads the entries through `rational`, so a numpy integer becomes
+    a Python int first and nothing wraps), divided by its gcd (_primitive).
     """
     rows = []
     for con in constraints:
-        *a, b = map(rational, (*con.a, con.b))
-        den = lcm(b.denominator, *(c.denominator for c in a))
-        a = tuple(c.numerator * (den // c.denominator) for c in a)
-        b = b.numerator * (den // b.denominator)
-        g = 0
-        for c in a:
-            g = gcd(g, c)
-        g = gcd(g, b)
-        if g > 1:
-            a = tuple(c // g for c in a)
-            b //= g
-        rows.append((a, b))
+        *a, b = _primitive(common_denominator((*con.a, con.b))[0])
+        rows.append((tuple(a), b))
     return rows
 
 
@@ -460,27 +454,32 @@ def _cone_rays(rows: list[tuple[tuple[int, ...], int]], d: int):
     return rays, bool(lines)
 
 
-def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
-    """The vertex table's rays, filling the table on the first call.
+class _VertexTable(NamedTuple):
+    """What double description finds; every later exact stage reads it.
+
+    Distinct rows come in first-seen order, bit i of a column is vertex
+    i, and zero and repeated columns are dropped.
+    """
+
+    rays: list[tuple[int, ...]]  # the vertices' primitive (x, t), in coordinate order
+    den: int  # T, the lcm of the rays' t
+    cols: list[int]  # per distinct row, the bitmask of the vertices tight on it
+    zeros: list[int]  # each ray's zero set, over the distinct rows
+    groups: list[list[int]]  # each distinct row's constraint indices
+    unbounded: bool  # nonempty (some t > 0), with a ray of t = 0 or a line too
+
+
+def _vertex_table(poly: HPolytope) -> _VertexTable:
+    """The polytope's vertex table (_VertexTable), memoized.
 
     The vertices are the extreme rays (x, t) with t > 0 of the
     homogenized cone over the polytope's distinct integer rows (_rows),
-    in first-seen order, found by exact double description. Raises
-    ScaleExceededError, before any of that work, for a game polytope
-    past check_exact_scale.
-
-    The table holds the vertices' primitive rays, their common
-    denominator T (the lcm of the t), and per distinct row, in
-    first-seen order, the bitmask of the vertices tight on it, zero and
-    repeated columns dropped. Vertices are ordered by their integer
-    numerators x T / t, which is the order of their coordinates, and bit
-    i of a column is vertex i. Each ray's zero set and the constraint
-    indices of each distinct row are kept for enumerate_vertices. The
-    table also records whether the polytope is unbounded: nonempty (some
-    ray has t > 0) with a ray of t = 0 or a line as well.
+    in first-seen order, found by exact double description, and ordered
+    by their integer numerators x T / t. Raises ScaleExceededError,
+    before any of that work, for a game polytope past check_exact_scale.
     """
-    if "rays" in poly._cache:
-        return poly._cache["rays"]
+    if "table" in poly._cache:
+        return poly._cache["table"]
     d = poly.dim
     game = poly._cache.get("game")
     if game is not None:
@@ -490,7 +489,7 @@ def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
         ids.setdefault(row, []).append(i)
     rays, lined = _cone_rays(list(ids), d)
     found = [(ray, zero) for ray, zero in rays if ray[d]]  # t >= 0 on every ray
-    poly._cache["unbounded"] = bool(found) and (lined or len(found) < len(rays))
+    unbounded = bool(found) and (lined or len(found) < len(rays))
     if lined:
         found = []
     den = lcm(*(ray[d] for ray, _ in found))
@@ -500,12 +499,15 @@ def _vertex_table(poly: HPolytope) -> list[tuple[int, ...]]:
         for j in range(len(ids)):
             if zero >> j & 1:
                 cols[j] |= 1 << i
-    poly._cache["groups"] = list(ids.values())
-    poly._cache["zeros"] = [zero for _, zero in found]
-    poly._cache["den"] = den
-    poly._cache["cols"] = list(dict.fromkeys(col for col in cols if col))
-    poly._cache["rays"] = [ray for ray, _ in found]
-    return poly._cache["rays"]
+    table = poly._cache["table"] = _VertexTable(
+        [ray for ray, _ in found],
+        den,
+        list(dict.fromkeys(col for col in cols if col)),
+        [zero for _, zero in found],
+        list(ids.values()),
+        unbounded,
+    )
+    return table
 
 
 def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
@@ -518,19 +520,18 @@ def enumerate_vertices(poly: HPolytope) -> list[Vertex]:
     check_exact_scale.
     """
     if "vertices" not in poly._cache:
-        rays = _vertex_table(poly)
+        table = _vertex_table(poly)
         d = poly.dim
-        groups = poly._cache["groups"]
         poly._cache["vertices"] = [
             Vertex(
                 tuple(Fraction(c, ray[d]) for c in ray[:d]),
                 frozenset(
                     chain.from_iterable(
-                        group for j, group in enumerate(groups) if zero >> j & 1
+                        group for j, group in enumerate(table.groups) if zero >> j & 1
                     )
                 ),
             )
-            for ray, zero in zip(rays, poly._cache["zeros"])
+            for ray, zero in zip(table.rays, table.zeros)
         ]
     return poly._cache["vertices"]
 
@@ -547,12 +548,15 @@ def _cone_cells(
     face's facets are the maximal proper nonempty traces face & col:
     every facet of a face is its intersection with some constraint's
     boundary, and every such trace is a face. Facets come in the order of
-    the first constraint that cuts them out.
+    the first constraint that cuts them out. A 0-face is one cell, its
+    lone vertex; the empty face has none.
     """
     if face in memo:
         return memo[face]
     apex = (face & -face).bit_length() - 1
-    if k == 1:
+    if k == 0:
+        cells = [(apex,)] if face else []
+    elif k == 1:
         high = face.bit_length() - 1
         cells = [(apex, high)] if apex != high else []
     else:
@@ -584,19 +588,14 @@ def _cells(poly: HPolytope) -> list[tuple[int, ...]]:
     polytope is refused, with ValueError.
     """
     if "cells" not in poly._cache:
-        count = len(_vertex_table(poly))
-        if poly._cache["unbounded"]:
+        table = _vertex_table(poly)
+        if table.unbounded:
             raise ValueError(
                 "the polytope is unbounded; exact volume, moments, centroid "
                 "and triangulation need a bounded one"
             )
-        if not count:
-            cells = []
-        elif poly.dim == 0:
-            cells = [(0,)]
-        else:
-            cells = _cone_cells(poly._cache["cols"], (1 << count) - 1, poly.dim, {})
-        poly._cache["cells"] = cells
+        face = (1 << len(table.rays)) - 1
+        poly._cache["cells"] = _cone_cells(table.cols, face, poly.dim, {})
     return poly._cache["cells"]
 
 
@@ -631,7 +630,7 @@ def _integrate(poly: HPolytope) -> tuple[int, list[int]]:
     volume is V / (d! T^d), moment i is S_i / ((d + 1)! T^(d+1)), and
     centroid coordinate i is S_i / (T (d + 1) V). A lone vertex (dim 0)
     is one cell of volume 1. Returns (V, [S_i]), memoized; volume and
-    moments build their Fractions from it on first read.
+    moments build their Fractions from it.
 
     D itself is one bareiss determinant of the cell's homogeneous ray
     rows (x_v, t_v): D = det(x_v, t_v) * prod(T / t_v) / T. Those rows
@@ -642,8 +641,8 @@ def _integrate(poly: HPolytope) -> tuple[int, list[int]]:
         return poly._cache["integrals"]
     d = poly.dim
     cells = _cells(poly)
-    rays = poly._cache["rays"]
-    den = poly._cache["den"]
+    table = _vertex_table(poly)
+    rays, den = table.rays, table.den
     lift = [den // ray[d] for ray in rays]
     weight = [0] * len(rays)
     total = 0
@@ -668,38 +667,34 @@ def volume(poly: HPolytope) -> Fraction:
     Raises ValueError for an unbounded polytope, as do moments,
     centroid, triangulate and polytope_to_json.
     """
-    if "volume" not in poly._cache:
-        total, _ = _integrate(poly)
-        d = poly.dim
-        poly._cache["volume"] = Fraction(total, factorial(d) * poly._cache["den"] ** d)
-    return poly._cache["volume"]
+    total, _ = _integrate(poly)
+    d = poly.dim
+    return Fraction(total, factorial(d) * _vertex_table(poly).den ** d)
 
 
 def moments(poly: HPolytope) -> tuple[Fraction, ...]:
     """Exact coordinate integrals over the polytope."""
-    if "moments" not in poly._cache:
-        _, sums = _integrate(poly)
-        d = poly.dim
-        scale = factorial(d + 1) * poly._cache["den"] ** (d + 1)
-        poly._cache["moments"] = tuple(Fraction(s, scale) for s in sums)
-    return poly._cache["moments"]
+    _, sums = _integrate(poly)
+    d = poly.dim
+    scale = factorial(d + 1) * _vertex_table(poly).den ** (d + 1)
+    return tuple(Fraction(s, scale) for s in sums)
 
 
 def _centroid_sums(poly: HPolytope) -> tuple[list[int], int]:
     """The barycenter's integer numerators and their common denominator.
 
-    Raises DegenerateGeometryError for an empty or zero-volume polytope.
+    Raises DegenerateGeometryError for an empty or zero-volume polytope:
+    a point's volume sum is 1, so in dimension 0 only the empty one has
+    none.
     """
-    if poly.dim == 0:
-        if not _vertex_table(poly):
-            raise DegenerateGeometryError("empty polytope has no centroid")
-        return [], 1
     total, sums = _integrate(poly)
     if not total:
         raise DegenerateGeometryError(
             "zero-volume polytope has no well-defined centroid"
+            if poly.dim
+            else "empty polytope has no centroid"
         )
-    return sums, poly._cache["den"] * (poly.dim + 1) * total
+    return sums, _vertex_table(poly).den * (poly.dim + 1) * total
 
 
 def centroid(poly: HPolytope) -> tuple[Fraction, ...]:

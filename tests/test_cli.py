@@ -197,6 +197,16 @@ class TestIndexCommand:
         assert code == 3
         assert "estimate_centroid_mc" in err
 
+    def test_scale_failure_names_the_sample_limit(self, capsys):
+        # the estimator may land nothing at this scale, even at its cap
+        code, out, err = run(
+            capsys,
+            "polytope", "--kind", "rep", "--vertices",
+            "--game", "[20;9,8,7,6,5,4,3,2,1]",
+        )
+        assert (code, out) == (3, "")
+        assert f"up to {MAX_MC_SAMPLES} samples and may still land none" in err
+
     def test_past_both_caps_names_the_rows(self, capsys):
         # 10 voters, and the weight polytope has more rows than its builder
         # builds: the builder's refusal is the one reported
@@ -427,6 +437,13 @@ class TestIntrepsCommand:
         assert lines[1].startswith("100,1601,0.608832,0.195584,0.195584,")
         assert lines[2].startswith("1000,166001,0.610888,0.194556,0.194556,")
         assert lines[3] == "# limit: 11/18 7/36 7/36"
+        # a total with no feasible vector prints its count and empty cells
+        code, out, _ = run(
+            capsys,
+            "intreps", "--convergence", "5,21", "--game", "[10;6,5,4,3,2,1]",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "5,0,,,,,,,"
 
     # (game, --with-quota) -> count and average at --total 10
     TOTAL_TEN = {

@@ -83,6 +83,10 @@ class TestDecimalStr:
         with pytest.raises(ValueError, match="at most 1000"):
             decimal_str(Fraction(1, 3), 1001)
 
+    def test_refuses_negative_places(self):
+        with pytest.raises(ValueError, match="places must be nonnegative"):
+            decimal_str(1, -1)
+
     @given(st.data())
     def test_matches_rounding_the_scaled_fraction(self, data):
         places = data.draw(st.integers(0, 50))

@@ -171,6 +171,10 @@ class TestWinning:
         game = parse_game("[3;2,1,1]")
         with pytest.raises(ValueError):
             game.is_winning(1 << 3)
+        with pytest.raises(ValueError, match="coalition contains unknown voters"):
+            game.coalition_weight(1 << 3)
+        with pytest.raises(ValueError, match="voter ids are 1-based"):
+            coalition([0])
 
 
 class TestStructure:
@@ -435,6 +439,11 @@ class TestGameIdentity:
     def test_equality_ignores_representation(self):
         assert parse_game("[2;2,1,1]") == parse_game("[4;4,2,2]")
         assert parse_game("[2;2,1,1]") != parse_game("[3;2,1,1]")
+        # a non-game operand gets NotImplemented, so Python compares identity
+        assert (parse_game("[3;2,1,1]") == 3) is False
+
+    def test_repr(self):
+        assert repr(parse_game("[3;2,1,1]")) == "WeightedGame('[3; 2, 1, 1]')"
 
     def test_hash_consistent_with_equality(self):
         games = {parse_game("[2;2,1,1]"), parse_game("[4;4,2,2]")}

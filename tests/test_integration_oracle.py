@@ -20,6 +20,7 @@ from powerpoly.polytope import (
     Constraint,
     DegenerateGeometryError,
     HPolytope,
+    _vertex_table,
     build_representation_polytope,
     build_weight_polytope,
     centroid,
@@ -50,7 +51,7 @@ def centroid_or_refusal(fn, *args):
 
 def assert_matches_oracle(poly):
     cells = oracle_triangulate(poly)
-    assert poly._cache["cols"] == oracle_columns(poly)
+    assert _vertex_table(poly).cols == oracle_columns(poly)
     assert triangulate(poly) == cells
     integrals = oracle_integrals(poly, cells=cells)
     assert (volume(poly), moments(poly)) == integrals
