@@ -7,6 +7,7 @@ paths run on arbitrary-precision rationals.
 """
 
 from .canonical_games import CANONICAL_GAMES, canonical_games
+from .estimate import EstimateInconclusiveError, estimate_centroid_mc
 from .exact_math import decimal_str, parse_rational
 from .game_core import (
     Coalition,
@@ -53,7 +54,6 @@ from .polytope import (
     Constraint,
     DegenerateGeometryError,
     EXACT_MAX_VOTERS,
-    EstimateInconclusiveError,
     HPolytope,
     Simplex,
     Vertex,
@@ -62,7 +62,6 @@ from .polytope import (
     centroid,
     check_exact_scale,
     enumerate_vertices,
-    estimate_centroid_mc,
     moments,
     polytope_to_json,
     triangulate,

@@ -18,6 +18,7 @@ import os
 import sys
 
 from .canonical_games import canonical_games
+from .estimate import EstimateInconclusiveError, estimate_centroid_mc
 from .exact_math import MAX_PRECISION, decimal_str
 from .game_core import GameFormatError, ScaleExceededError, parse_game
 from .indices import (
@@ -36,13 +37,11 @@ from .integer_reps import (
     grid_summary_to_json,
 )
 from .polytope import (
-    EstimateInconclusiveError,
     _vertex_table,
     build_representation_polytope,
     build_weight_polytope,
     centroid,
     enumerate_vertices,
-    estimate_centroid_mc,
     moments,
     polytope_to_json,
     volume,

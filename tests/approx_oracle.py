@@ -19,7 +19,8 @@ import numpy as np
 
 from powerpoly.game_core import WeightedGame
 from powerpoly.integer_reps import GridSummary
-from powerpoly.polytope import EstimateInconclusiveError, HPolytope
+from powerpoly.estimate import EstimateInconclusiveError
+from powerpoly.polytope import HPolytope
 
 
 def oracle_grid_scan(game: WeightedGame, total: int, with_quota: bool) -> GridSummary:

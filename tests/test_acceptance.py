@@ -19,6 +19,7 @@ from powerpoly import (
     parse_game,
     shapley_shubik,
 )
+from powerpoly.estimate import estimate_centroid_mc
 from powerpoly.exact_math import decimal_str
 from powerpoly.integer_reps import (
     enumerate_integer_feasible_weights,
@@ -29,7 +30,6 @@ from powerpoly.polytope import (
     build_weight_polytope,
     centroid,
     enumerate_vertices,
-    estimate_centroid_mc,
     moments,
     triangulate,
     volume,

@@ -17,17 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerpoly import integer_reps, polytope
+from powerpoly import estimate, integer_reps, polytope
+from powerpoly.estimate import (
+    EstimateInconclusiveError,
+    _chamber,
+    _proposal,
+    estimate_centroid_mc,
+)
 from powerpoly.game_core import parse_game
 from powerpoly.integer_reps import _grid_scan
 from powerpoly.polytope import (
-    EstimateInconclusiveError,
     HPolytope,
-    _chamber,
-    _proposal,
     build_representation_polytope,
     build_weight_polytope,
-    estimate_centroid_mc,
 )
 from approx_oracle import (
     oracle_bounding_box,
@@ -345,7 +347,7 @@ def test_estimates_on_mc_games(spec, builder, seed):
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
-    monkeypatch.setattr(polytope, "ROW_BLOCK", 2)
+    monkeypatch.setattr(estimate, "ROW_BLOCK", 2)
     game = parse_game("[2;1,3,4,3,2]")
     assert_same_estimate(builder(game), (1 << 17) + 999, 11, game)
 
@@ -353,18 +355,21 @@ def test_estimates_across_batches_and_small_row_blocks(monkeypatch, builder):
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_estimates_read_the_game_not_the_builder_rows(monkeypatch, builder):
     # the estimator writes its rows from the game's coalitions, so a game
-    # polytope estimates without ever writing its integer rows
+    # polytope estimates without ever writing its integer rows, and it
+    # leaves the polytope as its builder left it
     def written(*args):
         raise AssertionError("the polytope's integer rows were written")
 
     for spec in MC_GAMES[:6]:
         game = parse_game(spec)
         poly = builder(game)
+        built = dict(poly._cache)
         with monkeypatch.context() as patched:
             patched.setattr(polytope, "_game_rows", written)
             patched.setattr(polytope, "_scaled_rows", written)
             outcome(estimate_centroid_mc, poly, 20_000, 3)
         assert "rows" not in poly._cache
+        assert poly._cache == built
         assert_same_estimate(poly, 20_000, 3, game)  # the reference reads the rows
 
 
@@ -374,7 +379,7 @@ def forbid_set_up(monkeypatch):
     def set_up(*args):
         raise AssertionError("set-up or a draw started")
 
-    monkeypatch.setattr(polytope, "_proposal", set_up)
+    monkeypatch.setattr(estimate, "_proposal", set_up)
     monkeypatch.setattr(np.random, "default_rng", set_up)
 
 
@@ -382,22 +387,24 @@ def assert_refused_or_point(monkeypatch, poly, samples, seed):
     """A point has the empty estimate; any other polytope without a game
     is refused before any set-up or draw."""
     forbid_set_up(monkeypatch)
+    before = dict(poly._cache)
     if poly.dim == 0:
         assert estimate_centroid_mc(poly, samples, seed) == ((), ())
     else:
         with pytest.raises(ValueError, match="built from a game"):
             estimate_centroid_mc(poly, samples, seed)
-    assert "mc" not in poly._cache
+    assert poly._cache == before
 
 
 @pytest.mark.parametrize("samples", [2.5, 2_000.0, "2000", None])
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_non_integer_samples_are_refused_before_set_up(monkeypatch, builder, samples):
     poly = builder(parse_game("[3;2,1,1]"))
+    built = dict(poly._cache)
     forbid_set_up(monkeypatch)
     with pytest.raises(ValueError, match="samples must be an integer"):
         estimate_centroid_mc(poly, samples, 1)
-    assert "mc" not in poly._cache
+    assert poly._cache == built
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -411,7 +418,7 @@ def test_integer_samples_of_any_integer_type_estimate_alike(builder):
 @pytest.mark.parametrize("row_block", [1, 3, 32])
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
-    monkeypatch.setattr(polytope, "ROW_BLOCK", row_block)
+    monkeypatch.setattr(estimate, "ROW_BLOCK", row_block)
     for samples, seed in ((40, 7), (5_000, 3), (60_000, 42)):
         assert_refused_or_point(monkeypatch, HAND_BUILT[name], samples, seed)
 
@@ -419,7 +426,7 @@ def test_estimates_on_hand_built_polytopes(monkeypatch, name, row_block):
 @pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
 @pytest.mark.parametrize("name", ["zero-dimensional"])
 def test_estimates_on_hand_built_polytopes_in_column_chunks(monkeypatch, name, chunk):
-    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    monkeypatch.setattr(estimate, "COLUMN_CHUNK", chunk)
     for samples, seed in ((40, 7), (5_000, 3)):
         assert_refused_or_point(monkeypatch, HAND_BUILT[name], samples, seed)
 
@@ -427,7 +434,7 @@ def test_estimates_on_hand_built_polytopes_in_column_chunks(monkeypatch, name, c
 @pytest.mark.parametrize("chunk", COLUMN_CHUNKS)
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_estimates_on_mc_games_in_column_chunks(monkeypatch, builder, chunk):
-    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    monkeypatch.setattr(estimate, "COLUMN_CHUNK", chunk)
     for spec in MC_GAMES:
         game = parse_game(spec)
         poly = builder(game)
@@ -445,7 +452,7 @@ def test_estimates_across_batches_in_column_chunks(monkeypatch, spec, chunk):
     # a representation polytope draws the whole batch's quota uniforms
     # before its chunks' chamber draws, so a stream drawn in any other
     # order shows here; [1;1] draws its quotas alone
-    monkeypatch.setattr(polytope, "COLUMN_CHUNK", chunk)
+    monkeypatch.setattr(estimate, "COLUMN_CHUNK", chunk)
     game = parse_game(spec)
     assert_same_estimate(
         build_representation_polytope(game), (1 << 17) + 999, 5, game
@@ -505,19 +512,6 @@ def test_chamber_draw_is_uniform_on_the_ordered_chamber(n):
         assert abs(got - float(want)) <= 5 * err, (got, want, err)
 
 
-def test_set_up_is_kept_on_the_polytope(monkeypatch):
-    # a representation polytope also sets up its quota interval
-    game = parse_game("[9;5,4,3,2,1,1]")
-    polys = [builder(game) for builder in BUILDERS]
-    first = [estimate_centroid_mc(poly, 5_000, 2) for poly in polys]
-
-    def set_up(*args):
-        raise AssertionError("Monte Carlo set-up ran again")
-
-    monkeypatch.setattr(polytope, "_proposal", set_up)
-    assert [estimate_centroid_mc(poly, 5_000, 2) for poly in polys] == first
-
-
 class RowSpy(np.ndarray):
     """Float rows that count, per row, the points a matmul tests on them."""
 
@@ -534,25 +528,30 @@ class RowSpy(np.ndarray):
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_skipped_rows_are_never_evaluated(monkeypatch, builder):
-    monkeypatch.setattr(polytope, "ROW_BLOCK", 5)
+    monkeypatch.setattr(estimate, "ROW_BLOCK", 5)
     game = parse_game("[9;5,4,3,2,1,1]")
     poly = builder(game)
     samples, rows = 20_000, len(poly.constraints)
-    outcome(estimate_centroid_mc, poly, 1, 4)  # sets up the proposal
-    setup = poly._cache["mc"]
+    setup = _proposal(poly, game)
     # estimator row k is builder row k + offset, past the bound rows
     offset = game.n if builder is build_weight_polytope else game.n + 2
     skipped = sorted(set(range(rows)) - {k + offset for k in setup.live})
     # what the library skips holds at every corner of the proposal region
     assert skipped == oracle_dead_rows(poly, game)
     assert 0 < len(skipped) < rows
-    spy = setup.a.view(RowSpy)
-    spy.counts = Counter()
-    spy.origin = spy.ctypes.data
-    poly._cache["mc"] = setup._replace(a=spy)
+    counts = Counter()
+
+    def spied(*args):
+        p = _proposal(*args)
+        spy = p.a.view(RowSpy)
+        spy.counts = counts
+        spy.origin = spy.ctypes.data
+        return p._replace(a=spy)
+
+    monkeypatch.setattr(estimate, "_proposal", spied)
     got = estimate_centroid_mc(poly, samples, 4)
-    evaluated = {setup.live[r] + offset for r in spy.counts}
+    evaluated = {setup.live[r] + offset for r in counts}
     assert evaluated and not evaluated & set(skipped)
     # the reference tests every row on every point and agrees
-    assert sum(spy.counts.values()) < (rows - len(skipped)) * samples
+    assert sum(counts.values()) < (rows - len(skipped)) * samples
     assert got == oracle_estimate_centroid_mc(poly, samples, 4, game)

@@ -15,11 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powerpoly import polytope
+from powerpoly.estimate import EstimateInconclusiveError, estimate_centroid_mc
 from powerpoly.game_core import ScaleExceededError, WeightedGame, parse_game
 from powerpoly.indices import average_representation_index, average_weight_index
 from powerpoly.polytope import (
     Constraint,
-    EstimateInconclusiveError,
     Vertex,
     _rows,
     _scaled_rows,
@@ -27,7 +27,6 @@ from powerpoly.polytope import (
     build_weight_polytope,
     centroid,
     enumerate_vertices,
-    estimate_centroid_mc,
 )
 from builder_oracle import oracle_representation_polytope, oracle_weight_polytope
 from expected_values import TABLE

@@ -16,10 +16,11 @@ try:
 except ModuleNotFoundError:  # Python 3.10; pytest itself requires tomli there
     import tomli as tomllib
 
-from powerpoly import ScaleExceededError, integer_reps, parse_game, polytope
+from powerpoly import ScaleExceededError, estimate, integer_reps, parse_game, polytope
 from powerpoly.cli import PRECISION_ENV, _parser, build_parser, main
 from powerpoly.exact_math import decimal_str
-from powerpoly.polytope import MAX_MC_SAMPLES, MAX_POLYTOPE_ROWS
+from powerpoly.estimate import MAX_MC_SAMPLES
+from powerpoly.polytope import MAX_POLYTOPE_ROWS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -325,7 +326,7 @@ class TestPolytopeCommand:
         def set_up(*args):
             raise AssertionError("Monte Carlo set-up started")
 
-        monkeypatch.setattr(polytope, "_proposal", set_up)
+        monkeypatch.setattr(estimate, "_proposal", set_up)
         code, out, err = run(
             capsys,
             "polytope", "--kind", "weight", "--estimate-centroid-mc",

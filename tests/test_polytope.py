@@ -8,19 +8,18 @@ from math import lcm
 import numpy as np
 import pytest
 
-from powerpoly import polytope
+from powerpoly import estimate, polytope
+from powerpoly.estimate import EstimateInconclusiveError, estimate_centroid_mc
 from powerpoly.game_core import ScaleExceededError, parse_game
 from powerpoly.polytope import (
     Constraint,
     DegenerateGeometryError,
-    EstimateInconclusiveError,
     HPolytope,
     build_representation_polytope,
     build_weight_polytope,
     centroid,
     constraint_count,
     enumerate_vertices,
-    estimate_centroid_mc,
     moments,
     polytope_to_json,
     triangulate,
@@ -456,7 +455,7 @@ class TestMonteCarlo:
         def set_up(*args):
             raise LookupError("set-up or a draw started")
 
-        monkeypatch.setattr(polytope, "_proposal", set_up)
+        monkeypatch.setattr(estimate, "_proposal", set_up)
         monkeypatch.setattr(np.random, "default_rng", set_up)
         poly = poly_from(2, UNIT_TRIANGLE)
         with pytest.raises(ValueError, match="built from a game"):
@@ -468,12 +467,12 @@ class TestMonteCarlo:
         def set_up(*args):
             raise LookupError("set-up started")
 
-        monkeypatch.setattr(polytope, "_proposal", set_up)
+        monkeypatch.setattr(estimate, "_proposal", set_up)
         poly = build_weight_polytope(parse_game("[3;2,1,1]"))
         with pytest.raises(ScaleExceededError, match="more than the supported"):
-            estimate_centroid_mc(poly, polytope.MAX_MC_SAMPLES + 1, seed=1)
+            estimate_centroid_mc(poly, estimate.MAX_MC_SAMPLES + 1, seed=1)
         with pytest.raises(LookupError):
-            estimate_centroid_mc(poly, polytope.MAX_MC_SAMPLES, seed=1)
+            estimate_centroid_mc(poly, estimate.MAX_MC_SAMPLES, seed=1)
 
 
 class TestJsonDump:
