@@ -6,7 +6,8 @@ Exit codes: 0 on success, 2 for malformed input, 3 for requests beyond
 the supported scale: the library refuses those with ScaleExceededError
 before starting the work (the builders past their row cap, the exact
 stages past their voter cap), and this module maps that to exit 3 with
-the library's message. It checks no scale limit of its own.
+the library's message. Its one scale check of its own is `table
+--max-voters`, which must lie in 1 to 4, the catalogue's range.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_intreps(args) -> int:
     game = parse_game(args.game)
+    if args.total is not None and args.convergence is not None:
+        raise GameFormatError("--total and --convergence exclude each other")
     if args.convergence:
         try:
             totals = [int(tok) for tok in args.convergence.split(",") if tok.strip()]

@@ -604,6 +604,15 @@ def _integrate(poly: HPolytope) -> tuple[int, list[int]]:
     rows (x_v, t_v): D = det(x_v, t_v) * prod(T / t_v) / T. Those rows
     keep the small entries of the rays, where T grows with every new
     denominator.
+
+    Every cell is a full simplex, as triangulate returns it: d + 1
+    affinely independent vertices, whose ray rows have rank d + 1, so
+    each determinant is taken as it stands. Each level of _cone_cells
+    passes from a face to one of its facets (a maximal proper trace of a
+    constraint column) and adds the face's apex, which lies off that
+    facet's hyperplane, so every level adds one dimension. A polytope
+    that is not full-dimensional has no cell at all (triangulate).
+    tests/test_integration_oracle.py pins both.
     """
     if "integrals" in poly._cache:
         return poly._cache["integrals"]
@@ -615,9 +624,7 @@ def _integrate(poly: HPolytope) -> tuple[int, list[int]]:
     weight = [0] * len(rays)
     total = 0
     for cell in cells:
-        rnk, det = bareiss([list(rays[i]) for i in cell])
-        if rnk <= d:
-            continue
+        _, det = bareiss([list(rays[i]) for i in cell])
         det = abs(det) * prod(lift[i] for i in cell) // den
         total += det
         for i in cell:

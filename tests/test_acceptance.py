@@ -47,6 +47,7 @@ from expected_values import (
     WORKED,
 )
 from test_indices import ssi_by_permutations
+from test_tiling_identities import GAMES
 
 
 def _report(num, desc, check):
@@ -246,3 +247,9 @@ def test_criterion_6_property_battery(corpus, random_n5):
         "hold on the catalogue plus 20 random five-voter games",
         check,
     )
+
+
+def test_battery_on_every_five_voter_game():
+    # the index half of criterion 6 on all 117 five-voter games
+    for game in GAMES[5]:
+        _battery_game(game)

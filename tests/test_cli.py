@@ -517,6 +517,30 @@ class TestIntrepsCommand:
         assert code == 2
         assert "total" in err
 
+    def test_total_and_convergence_are_refused_together(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid scanned")
+
+        for name in (
+            "convergence_experiment",
+            "enumerate_integer_feasible_weights",
+            "enumerate_integer_representations",
+        ):
+            monkeypatch.setattr(f"powerpoly.cli.{name}", refuse)
+        code, out, err = run(
+            capsys,
+            "intreps", "--total", "5", "--convergence", "1,2", "--game", "[2;1,1]",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --total and --convergence exclude each other\n"
+
+    def test_empty_grid_prints_only_its_count(self, capsys):
+        # no integer weights summing to 10 represent this game, so the
+        # scan prints its count alone
+        assert run(
+            capsys, "intreps", "--total", "10", "--game", "[10;6,5,4,3,2,1]"
+        ) == (0, "count: 0\n", "")
+
     def test_bad_totals_list(self, capsys):
         code, _, _ = run(
             capsys,

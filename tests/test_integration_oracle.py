@@ -15,11 +15,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from powerpoly.exact_math import bareiss
 from powerpoly.game_core import WeightedGame, parse_game
 from powerpoly.polytope import (
     Constraint,
     DegenerateGeometryError,
     HPolytope,
+    _cells,
     _vertex_table,
     build_representation_polytope,
     build_weight_polytope,
@@ -38,6 +40,7 @@ from integration_oracle import (
     oracle_triangulate,
 )
 from test_game_core import small_games
+from test_tiling_identities import GAMES
 
 BUILDERS = (build_weight_polytope, build_representation_polytope)
 
@@ -173,12 +176,41 @@ def test_zero_dimensional(bounds):
 
 
 def test_flat_and_empty_polytopes_refuse_a_centroid():
-    for name in ("empty-2d", "point-2d", "segment-2d", "triangle-3d"):
+    # they have no cell, so _integrate's sums are 0
+    polys = {"empty-0d": HPolytope(0, [Constraint((), Fraction(-1))])}
+    for name in (
+        "empty",
+        "empty-2d",
+        "point-1d",
+        "point-2d",
+        "segment-2d",
+        "implicit-segment-2d",
+        "triangle-3d",
+    ):
         rows = HAND_BUILT[name]
-        poly = poly_from(len(rows[0][0]), rows)
+        polys[name] = poly_from(len(rows[0][0]), rows)
+    for name, poly in polys.items():
         assert triangulate(poly) == [] and volume(poly) == 0, name
         with pytest.raises(DegenerateGeometryError):
             centroid(poly)
+
+
+def test_every_cell_is_a_full_simplex():
+    # _integrate takes each cell's determinant as it stands: a cell has
+    # d + 1 affinely independent vertices, so its homogeneous ray rows
+    # (x_v, t_v) have rank d + 1
+    games = [parse_game(spec) for spec in TABLE] + GAMES[5]
+    for game in games:
+        for builder in BUILDERS:
+            poly = builder(game)
+            d = poly.dim
+            rays = _vertex_table(poly).rays
+            cells = _cells(poly)
+            assert cells, (builder, game)
+            for cell in cells:
+                assert len(cell) == d + 1, (builder, game, cell)
+                rank, _ = bareiss([list(rays[i]) for i in cell])
+                assert rank == d + 1, (builder, game, cell)
 
 
 UNBOUNDED = {

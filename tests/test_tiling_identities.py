@@ -10,13 +10,13 @@ volumes and quota moments the exact pipeline returns must therefore
 match closed forms with `==`: a missing vertex, cell or row anywhere
 breaks the sum. The integer grid tiles the same way.
 
-Tier-1 runs the polytope identities up to five voters. The 1,111 games on
-six voters take about 11 s (8 s of it generating them), so CI calls
-all_games(6) and assert_polytopes_tile in a step of its own.
+Tier-1 runs the polytope identities up to five voters. all_games(6)
+generates the 1,111 six-voter games in 0.3 s; their identities take
+about 3 s and the index battery of tests/test_acceptance.py about 7 s
+more, so CI runs both in a step of its own.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial, prod
 
 import pytest
@@ -57,17 +57,30 @@ def all_games(n):
 
     Weights are the partitions of s <= WEIGHT_SUM_BOUND[n] into at most n
     parts, padded with zeros, and the quota runs over each distinct
-    positive coalition weight. The first representation of each game is
-    kept.
+    positive coalition weight, in increasing order. The first
+    representation of each game is kept. A candidate is keyed by the
+    bitmask of its winning coalitions, read off one subset-sum table per
+    weight vector, and a WeightedGame is built only for a new key.
     """
     games = {}
     for s in range(1, WEIGHT_SUM_BOUND[n] + 1):
         for part in partitions(s, n, s):
             weights = part + (0,) * (n - len(part))
-            sums = {sum(c) for k in range(1, n + 1) for c in combinations(weights, k)}
-            for quota in sorted(sums - {0}):
-                games.setdefault(WeightedGame(quota, weights), None)
-    return list(games)
+            sums = [0]  # sums[c], the weight of the coalition with bitmask c
+            for w in weights:
+                sums += [x + w for x in sums]
+            at = {}  # coalition weight -> bitmask of the coalitions of that weight
+            for c, x in enumerate(sums):
+                at[x] = at.get(x, 0) | 1 << c
+            key = 0
+            keys = []  # (quota, bitmask of the coalitions that reach it)
+            for quota in sorted(at, reverse=True):
+                key |= at[quota]
+                keys.append((quota, key))
+            for quota, key in reversed(keys):
+                if quota and key not in games:
+                    games[key] = WeightedGame(quota, weights)
+    return list(games.values())
 
 
 GAMES = {n: all_games(n) for n in range(1, 6)}
